@@ -7,11 +7,11 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet race faults bench-warm bench-lanes bench-far obs perfgate net
+.PHONY: check build test vet race faults stress bench-warm bench-lanes bench-far bench-cold obs perfgate net
 
 ## check: the tier-1 gate — vet, build, full test suite, race detector,
-## the fault-injection matrix, the observability suite, and the perf
-## regression gate.
+## the fault-injection matrix, the observability suite, the stress run
+## under CPU contention, and the perf regression gate.
 check:
 	$(MAKE) vet
 	$(GO) build ./...
@@ -20,6 +20,7 @@ check:
 	$(MAKE) faults
 	$(MAKE) obs
 	$(MAKE) net
+	$(MAKE) stress
 	$(MAKE) perfgate
 
 build:
@@ -40,6 +41,20 @@ race:
 faults:
 	$(GO) test -run 'TestFaultMatrix|TestCrashAtEveryPhaseBoundary|TestChaosDeterministic' ./internal/core/
 	$(GO) test -run 'TestCrash|TestDrop|TestDelay|TestRecv|TestSend|TestBcastAndReduceDeadRoot|TestTypedSentinels|TestCollective' ./internal/cluster/
+
+## stress: the ordering-sensitive suites under CPU contention — the
+## work-stealing pool, the net transport package, the fault matrix and
+## the TCP chaos/late-join runs, under -race at GOMAXPROCS 1, 2 and 4
+## while one busy loop per core competes for the CPUs. Shutdown,
+## wake-up and collective-boundary races that hide on an idle machine
+## show up here.
+stress:
+	@pids=""; \
+	for i in $$(seq $$(nproc)); do sh -c 'while :; do :; done' & pids="$$pids $$!"; done; \
+	trap 'kill $$pids 2>/dev/null' EXIT; \
+	$(GO) test -race -timeout 30m -count=2 -cpu=1,2,4 ./internal/sched/ ./internal/cluster/net/ && \
+	$(GO) test -race -timeout 30m -count=2 -cpu=1,2,4 \
+		-run 'TestNet|TestFaultMatrix|TestCrashAtEveryPhaseBoundary|TestChaosDeterministic' ./internal/core/
 
 ## obs: the observability layer — registry + telemetry codec + flight
 ## recorder + health sampler + /events stream + anomaly watchdog under
@@ -93,7 +108,7 @@ bench-far:
 
 ## bench-cold: the cold-path pair — octree construction benchmarks
 ## (recursive vs Morton at 1k/10k/100k points) and the coldstart
-## experiment tables (EXPERIMENTS.md cold-start section).
+## experiment's build table (EXPERIMENTS.md cold-start section).
 bench-cold:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild' -benchtime 3x -count 2 ./internal/octree/
 	$(GO) run ./cmd/gbbench -exp coldstart

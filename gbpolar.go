@@ -55,7 +55,14 @@ type Surface = surface.Surface
 // Result is the outcome of an energy computation.
 type Result = core.Result
 
-// Options configures an Engine.
+// ErrInvalidParams is returned, wrapped, when an Options value is out of
+// range (see Options).
+var ErrInvalidParams = core.ErrInvalidParams
+
+// Options configures an Engine. A zero field means "use the default";
+// an out-of-range value (a negative ε, a dielectric not above 1, a
+// negative leaf capacity, a FarOrder outside 0–2) fails NewEngine with
+// ErrInvalidParams.
 type Options struct {
 	// EpsBorn is the Born-radius approximation parameter (default 0.9,
 	// the paper's headline setting). Smaller = more accurate, slower.
@@ -88,32 +95,43 @@ type Options struct {
 	FarOrder int
 	// Builder selects the octree construction algorithm: "recursive"
 	// (the reference top-down builder, the default) or "morton" (the
-	// Morton-key radix build — same tree, faster cold start, and the
-	// prerequisite for incremental list repair after atom motion).
+	// Morton-key radix build — same tree, faster cold start).
 	Builder string
 }
 
-func (o Options) params() core.Params {
-	p := core.DefaultParams()
-	if o.EpsBorn > 0 {
-		p.EpsBorn = o.EpsBorn
-	}
-	if o.EpsEpol > 0 {
-		p.EpsEpol = o.EpsEpol
-	}
-	if o.SolventDielectric > 1 {
-		p.EpsSolv = o.SolventDielectric
+// params maps the options onto core.Params field for field and
+// validates the result. Zero values mean "default"; anything else out of
+// range fails with ErrInvalidParams instead of silently falling back to
+// the default.
+func (o Options) params() (core.Params, error) {
+	p := core.Params{
+		EpsBorn:  o.EpsBorn,
+		EpsEpol:  o.EpsEpol,
+		EpsSolv:  o.SolventDielectric,
+		LeafCap:  o.LeafCap,
+		FarOrder: o.FarOrder,
 	}
 	if o.ApproximateMath {
 		p.Math = mathx.Approximate
 	}
-	if o.LeafCap > 0 {
-		p.LeafCap = o.LeafCap
+	if o.Builder != "" {
+		b, err := octree.ParseBuilder(o.Builder)
+		if err != nil {
+			return p, fmt.Errorf("gbpolar: %w", err)
+		}
+		p.Builder = b
 	}
-	if o.FarOrder > 0 {
-		p.FarOrder = o.FarOrder
+	if o.Precision != "" {
+		prec, err := core.ParsePrecision(o.Precision)
+		if err != nil {
+			return p, fmt.Errorf("gbpolar: %w", err)
+		}
+		p.Precision = prec
 	}
-	return p
+	if err := p.Validate(); err != nil {
+		return p, fmt.Errorf("gbpolar: %w", err)
+	}
+	return p, nil
 }
 
 // KernelISA reports the instruction set the non-exact precision tiers'
@@ -191,6 +209,10 @@ func NewEngine(mol *Molecule, opts Options) (*Engine, error) {
 	if err := mol.Validate(); err != nil {
 		return nil, fmt.Errorf("gbpolar: %w", err)
 	}
+	// Reject bad options before paying for the surface sampling.
+	if _, err := opts.params(); err != nil {
+		return nil, err
+	}
 	surf, err := surface.ForMolecule(mol, surface.Options{
 		SubdivisionLevel: opts.SurfaceLevel,
 		QuadratureDegree: opts.QuadratureDegree,
@@ -204,20 +226,9 @@ func NewEngine(mol *Molecule, opts Options) (*Engine, error) {
 // NewEngineWithSurface builds an Engine from a pre-sampled surface
 // (e.g. one loaded from disk or shared between parameter sweeps).
 func NewEngineWithSurface(mol *Molecule, surf *Surface, opts Options) (*Engine, error) {
-	params := opts.params()
-	if opts.Builder != "" {
-		b, err := octree.ParseBuilder(opts.Builder)
-		if err != nil {
-			return nil, fmt.Errorf("gbpolar: %w", err)
-		}
-		params.Builder = b
-	}
-	if opts.Precision != "" {
-		prec, err := core.ParsePrecision(opts.Precision)
-		if err != nil {
-			return nil, fmt.Errorf("gbpolar: %w", err)
-		}
-		params.Precision = prec
+	params, err := opts.params()
+	if err != nil {
+		return nil, err
 	}
 	sys, err := core.NewSystem(mol, surf, params)
 	if err != nil {

@@ -1,10 +1,12 @@
 package gbpolar
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
 
+	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
 )
 
@@ -88,6 +90,41 @@ func TestReposeInvariance(t *testing.T) {
 	}
 	if rel := math.Abs((after.Epol - before.Epol) / before.Epol); rel > 1e-9 {
 		t.Errorf("energy changed by %.3g under rigid motion: %v -> %v", rel, before.Epol, after.Epol)
+	}
+}
+
+// Out-of-range options fail NewEngine with the typed sentinel instead of
+// being replaced by the default; zero values still mean "default".
+func TestEngineRejectsBadOptions(t *testing.T) {
+	mol := GenerateProtein("badopts", 30, 4)
+	cases := []struct {
+		name string
+		opts Options
+		ok   bool
+	}{
+		{"zero value", Options{}, true},
+		{"explicit values", Options{EpsBorn: 0.5, EpsEpol: 0.3, SolventDielectric: 4, LeafCap: 12, FarOrder: 2}, true},
+		{"negative EpsBorn", Options{EpsBorn: -1}, false},
+		{"NaN EpsEpol", Options{EpsEpol: math.NaN()}, false},
+		{"dielectric below 1", Options{SolventDielectric: 0.5}, false},
+		{"negative LeafCap", Options{LeafCap: -3}, false},
+		{"FarOrder out of range", Options{FarOrder: 5}, false},
+		// The bad quadrature degree would fail the surface sampling; the
+		// sentinel shows the options were checked before any sampling.
+		{"checked before surface", Options{LeafCap: -1, QuadratureDegree: 99}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewEngine(mol, tc.opts)
+			switch {
+			case tc.ok && err != nil:
+				t.Fatal(err)
+			case !tc.ok && !errors.Is(err, core.ErrInvalidParams):
+				t.Fatalf("got %v, want core.ErrInvalidParams", err)
+			case !tc.ok && !errors.Is(err, ErrInvalidParams):
+				t.Fatalf("facade sentinel does not match %v", err)
+			}
+		})
 	}
 }
 

@@ -2,27 +2,22 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/octree"
 	"gbpolar/internal/sched"
 )
 
-// coldstart regenerates the cold-path measurements (DESIGN.md §10): the
+// coldstart regenerates the cold-path measurement (DESIGN.md §10): the
 // time from raw coordinates to a ready octree under the recursive vs
-// Morton builders, and the cost of keeping compiled interaction lists
-// valid across small-displacement updates via incremental repair vs a
-// full recompile.
+// Morton builders.
 func coldstart(cfg Config) ([]*Table, error) {
 	cfg = cfg.WithDefaults()
 	pool := sched.NewPool(0)
 	defer pool.Close()
 
-	// --- Cold build: recursive vs Morton ------------------------------
 	t1 := &Table{
 		ID:    "coldstart-build",
 		Title: "Cold octree construction: recursive vs Morton radix build (best of reps)",
@@ -41,76 +36,7 @@ func coldstart(cfg Config) ([]*Table, error) {
 	t1.Notes = append(t1.Notes,
 		"best-of-reps wall times; both builders produce node-identical trees (TestMortonBuildMatchesRecursive)",
 		"pooled numbers depend on available cores — on a single-core host they track the serial column")
-
-	// --- Update repair: incremental list repair vs recompile ----------
-	mol := molecule.GenProtein("cold-repair", 5000, cfg.Seed+1)
-	params := paperParams(mathx.Exact)
-	params.Builder = octree.BuilderMorton
-	prep, err := prepare(mol, params)
-	if err != nil {
-		return nil, err
-	}
-	prep.sys.Lists(pool)
-	t2 := &Table{
-		ID:    "coldstart-repair",
-		Title: "Interaction-list maintenance after motion: incremental repair vs full recompile (5k atoms)",
-		Columns: []string{"Motion (sigma Å)", "Keys moved", "Rows repaired", "Rows total",
-			"Repair (ms)", "Recompile (ms)", "Speedup"},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	pos := mol.Positions()
-	// Two motion regimes: a localized perturbation (a binding-site
-	// refinement step — atoms within 6 Å of a site jiggle, the rest hold
-	// still) and a global thermal jiggle. The local regime is where the
-	// per-entry certificates shine; the global one drifts every node at
-	// once and approaches a full recompile (DESIGN.md §10).
-	site := pos[0]
-	regimes := []struct {
-		label string
-		local bool
-		sigma float64
-	}{
-		{"local 0.05", true, 0.05},
-		{"local 0.2", true, 0.2},
-		{"global 0.005", false, 0.005},
-	}
-	for _, reg := range regimes {
-		jig := make([]geom.Vec3, len(pos))
-		for i, p := range pos {
-			if reg.local && p.Dist(site) >= 6 {
-				jig[i] = p
-				continue
-			}
-			jig[i] = p.Add(geom.V(
-				rng.NormFloat64()*reg.sigma, rng.NormFloat64()*reg.sigma, rng.NormFloat64()*reg.sigma))
-		}
-		t0 := time.Now()
-		stats, err := prep.sys.UpdateAtomsRepair(jig, pool, nil)
-		if err != nil {
-			return nil, err
-		}
-		repairMS := float64(time.Since(t0).Microseconds()) / 1000
-		if !stats.Repaired {
-			// A rebuild or invalidation: report it honestly rather than
-			// comparing a non-repair against a recompile.
-			t2.AddRow(reg.label, stats.Moved, "-", "-", repairMS, "-", "rebuilt")
-			prep.sys.Lists(pool)
-			pos = jig
-			continue
-		}
-		t0 = time.Now()
-		prep.sys.InvalidateLists()
-		prep.sys.Lists(pool)
-		recompileMS := float64(time.Since(t0).Microseconds()) / 1000
-		t2.AddRow(reg.label, stats.Moved, stats.RowsRepaired, stats.RowsTotal,
-			repairMS, recompileMS, fmt.Sprintf("%.1fx", recompileMS/repairMS))
-		pos = jig
-	}
-	t2.Notes = append(t2.Notes,
-		"repair recomputes only rows whose per-entry drift certificates fail; clean rows keep decayed (lower-bound) margins",
-		"every repaired list is byte-identical to a fresh compile (RecheckLists in the repair tests)",
-		"the certificate scan is serial, so on few cores wall speedup tracks the row savings only loosely; a leaf materialized high in the tree forces rows that descended that node to redo (exactness)")
-	return []*Table{t1, t2}, nil
+	return []*Table{t1}, nil
 }
 
 // bestBuildMS times reps cold builds of pts under opts and returns the

@@ -116,9 +116,10 @@ func gateBuildStats(p *prepared) (map[string]float64, error) {
 }
 
 // GateSamples measures the gate workload reps times and returns one
-// analyzer summary per repetition, each merged with the cold-build
-// stats. The first (warm-up) run is discarded so list compilation and
-// pool growth don't pollute the wall stats.
+// analyzer summary per repetition, each merged with the compiled-list
+// footprint and the cold-build stats. The first (warm-up) run is
+// discarded so list compilation and pool growth don't pollute the wall
+// stats.
 func GateSamples(atoms, reps int, seed int64) ([]map[string]float64, error) {
 	p, err := gatePrepare(atoms, seed)
 	if err != nil {
@@ -134,6 +135,9 @@ func GateSamples(atoms, reps int, seed int64) ([]map[string]float64, error) {
 			return nil, err
 		}
 		s := analyze.FromTrace(o.Trace).Summary()
+		// The lists the run just swept. The name carries no wall/sched
+		// marker, so the gate holds it to the strict floor.
+		s["mem.lists.bytes"] = float64(p.sys.Lists(nil).MemoryBytes())
 		builds, err := gateBuildStats(p)
 		if err != nil {
 			return nil, err

@@ -150,6 +150,13 @@ func TestGateSelfCompare(t *testing.T) {
 	if _, ok := base.Stats["events"]; !ok {
 		t.Error("events not tracked in the baseline")
 	}
+	// The list footprint is deterministic and strictly gated.
+	if b := base.Stats["mem.lists.bytes"]; b.Median <= 0 || b.Spread != 0 {
+		t.Errorf("mem.lists.bytes not tracked deterministically: %+v", b)
+	}
+	if tol := gate.Tolerance("mem.lists.bytes", gate.Stat{}, gate.Stat{}); tol != gate.StrictFloor {
+		t.Errorf("mem.lists.bytes tolerance %g, want the strict floor %g", tol, gate.StrictFloor)
+	}
 }
 
 // TestGateRegressionDetected: a synthetic stat table with one phase

@@ -521,6 +521,14 @@ func (c *Comm) await(ch chan frame, seq uint64, what string) (frame, error) {
 	case resp := <-ch:
 		return resp, nil
 	case <-c.readerDone:
+		// select picks at random among ready cases: a response the reader
+		// queued just before the connection dropped (the final mRoundOK of
+		// a run) must win over the closed readerDone.
+		select {
+		case resp := <-ch:
+			return resp, nil
+		default:
+		}
 		return frame{}, c.brokenErr()
 	case <-timer.C:
 		err := fmt.Errorf("net: rank %d: %s stalled past %v: %w",
@@ -641,20 +649,19 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 }
 
 func (c *Comm) Recv(src, tag int) ([]float64, int, error) {
+	matches := func(m relayed) bool {
+		return (src == cluster.AnySource || m.src == src) && (tag == cluster.AnyTag || m.tag == tag)
+	}
+	// A message the reader queued before the connection dropped was
+	// delivered, so the queue is consulted before the broken check.
+	if m, ok := c.takeQueued(matches); ok {
+		return m.data, m.src, nil
+	}
 	if err := c.brokenErr(); err != nil {
 		return nil, 0, err
 	}
 	if src != cluster.AnySource && (src < 0 || src >= c.size) {
 		return nil, 0, fmt.Errorf("net: rank %d: recv from %d: %w", c.rank, src, cluster.ErrInvalidRank)
-	}
-	matches := func(m relayed) bool {
-		return (src == cluster.AnySource || m.src == src) && (tag == cluster.AnyTag || m.tag == tag)
-	}
-	for i, m := range c.pending {
-		if matches(m) {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return m.data, m.src, nil
-		}
 	}
 	timer := time.NewTimer(c.opts.StallTimeout + 5*time.Second)
 	defer timer.Stop()
@@ -666,11 +673,39 @@ func (c *Comm) Recv(src, tag int) ([]float64, int, error) {
 			}
 			c.pending = append(c.pending, m)
 		case <-c.readerDone:
+			// select picks at random among ready cases (see await): drain
+			// what the reader queued before it exited.
+			if m, ok := c.takeQueued(matches); ok {
+				return m.data, m.src, nil
+			}
 			return nil, 0, c.brokenErr()
 		case <-timer.C:
 			err := fmt.Errorf("net: rank %d: recv stalled past %v: %w",
 				c.rank, c.opts.StallTimeout, cluster.ErrTimeout)
 			return nil, 0, err
+		}
+	}
+}
+
+// takeQueued returns the first matching message already received: from
+// pending, then from a non-blocking drain of the inbox (non-matching
+// messages move to pending). ok is false when none matches.
+func (c *Comm) takeQueued(matches func(relayed) bool) (m relayed, ok bool) {
+	for i, m := range c.pending {
+		if matches(m) {
+			c.pending = append(c.pending[:i], c.pending[i+1:]...)
+			return m, true
+		}
+	}
+	for {
+		select {
+		case m := <-c.inbox:
+			if matches(m) {
+				return m, true
+			}
+			c.pending = append(c.pending, m)
+		default:
+			return relayed{}, false
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"gbpolar/internal/octree"
 )
 
 // rowEntries collects one row's far/near/sym entry sets, sorted so the
@@ -63,6 +65,12 @@ func diffRowSets(phase string, a, b map[int32]rowEntries) error {
 		}
 	}
 	return nil
+}
+
+func mortonParams() Params {
+	p := DefaultParams()
+	p.Builder = octree.BuilderMorton
+	return p
 }
 
 // TestBuilderEquivalence is the end-to-end half of the Morton/recursive

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -350,5 +351,59 @@ func TestRandomMoleculesOctreeVsNaive(t *testing.T) {
 		if e := relErr(res.Epol, naiveE); e > 0.06 {
 			t.Errorf("trial %d (n=%d): energy error %.2f%%", trial, n, 100*e)
 		}
+	}
+}
+
+// Parameters are validated before defaulting: only the zero value means
+// "default", and every out-of-range value fails with ErrInvalidParams
+// instead of being silently replaced.
+func TestParamsValidatedBeforeDefaulting(t *testing.T) {
+	mol := molecule.GenProtein("params", 40, 3)
+	surf, err := surface.ForMolecule(mol, surface.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		p    Params
+		ok   bool
+	}{
+		{"zero value", Params{}, true},
+		{"explicit values kept", Params{EpsBorn: 0.5, EpsSolv: 2, LeafCap: 16}, true},
+		{"negative EpsBorn", Params{EpsBorn: -1}, false},
+		{"NaN EpsBorn", Params{EpsBorn: math.NaN()}, false},
+		{"negative EpsEpol", Params{EpsEpol: -0.5}, false},
+		{"infinite EpsEpol", Params{EpsEpol: math.Inf(1)}, false},
+		{"EpsSolv below 1", Params{EpsSolv: 0.5}, false},
+		{"EpsSolv of 1", Params{EpsSolv: 1}, false},
+		{"negative EpsSolv", Params{EpsSolv: -80}, false},
+		{"NaN EpsSolv", Params{EpsSolv: math.NaN()}, false},
+		{"negative LeafCap", Params{LeafCap: -3}, false},
+		{"FarOrder above 2", Params{FarOrder: 3}, false},
+		{"negative FarOrder", Params{FarOrder: -1}, false},
+		{"unknown math mode", Params{Math: 7}, false},
+		{"unknown kernel", Params{Kernel: 9}, false},
+		{"unknown precision", Params{Precision: 9}, false},
+		{"unknown builder", Params{Builder: 9}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(mol, surf, tc.p)
+			if !tc.ok {
+				if !errors.Is(err, ErrInvalidParams) {
+					t.Fatalf("got %v, want ErrInvalidParams", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.p.withDefaults(); sys.Params != want {
+				t.Fatalf("params %+v, want %+v", sys.Params, want)
+			}
+		})
+	}
+	if (Params{}).withDefaults() != DefaultParams() {
+		t.Fatal("zero Params do not default to DefaultParams")
 	}
 }

@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
-
-	"gbpolar/internal/obs"
 )
 
 // The opening-criterion ladder: slot 0 must be the base multiplier
@@ -193,37 +190,6 @@ func TestFarOrderPrecisionTiers(t *testing.T) {
 		if e := relErr(res.Epol, want.Epol); e > tc.tol {
 			t.Errorf("%v: Epol %v vs exact tier %v (rel %.3g > %.3g)", tc.tier, res.Epol, want.Epol, e, tc.tol)
 		}
-	}
-}
-
-// Repair under FarOrder=2: after a jiggle the patched lists — admitted
-// orders included — must be byte-for-byte what a fresh compile over the
-// moved geometry produces. This is the certificate-soundness pin for
-// the ladder (drift margins are measured against the nearest ORDER
-// boundary, so a stale order byte would be caught here).
-func TestFarOrderRepairByteIdentical(t *testing.T) {
-	p := mortonParams()
-	p.FarOrder = 2
-	sys, mol, _ := testSystem(t, 500, 103, p)
-	sys.Lists(nil)
-	rng := rand.New(rand.NewSource(104))
-	pos := mol.Positions()
-	repairs := 0
-	for step := 0; step < 6; step++ {
-		pos = jigglePositions(rng, pos, 0.03)
-		stats, err := sys.UpdateAtomsRepair(pos, nil, obs.New())
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if stats.Repaired {
-			repairs++
-		}
-		if err := sys.RecheckLists(nil); err != nil {
-			t.Fatalf("step %d: repaired lists diverge from fresh compile: %v", step, err)
-		}
-	}
-	if repairs == 0 {
-		t.Fatal("no step repaired the lists; test exercised nothing")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"gbpolar/internal/geom"
@@ -55,45 +54,11 @@ type InteractionLists struct {
 	// atoms tree have no transpose).
 	SymOff []int32
 	Sym    []int32
-	// Cede holds the mutual near pairs this row's classification DID
-	// reach but symmetrization handed to a lower-indexed row's Sym list.
-	// The entries contribute nothing to evaluation (the partner sweeps
-	// the pair with double weight); they are recorded so the incremental
-	// repair (ilist_repair.go) can reconstruct the row's full
-	// pre-symmetrization near list — and certify its verdicts — without
-	// scanning every other row's Sym.
-	CedeOff []int32
-	Cede    []int32
-	// Margins record each opening test's distance to reclassification,
-	// |dist(centers) − (r_a+r_b)·mac| — the slack the incremental repair
-	// certifies cached verdicts against. FarMargin[k] is the slack of
-	// the test that classified Far[k]; NearMargin[k] likewise for
-	// Near[k] (nil for E_pol lists, whose leaf-first ordering reaches
-	// near leaves without testing them). The *Path arrays carry, per
-	// entry, the minimum slack over the INTERNAL tests on the entry's
-	// root path — the nodes the classification descended through to
-	// reach it, which appear in no list (+Inf for root-level entries).
-	// As long as the geometry drifts less than a test's slack, that
-	// verdict cannot flip; all certificates are per ENTRY because drift
-	// is wildly non-uniform (a two-atom leaf losing an atom jumps ~1 Å
-	// while every other node barely moves), so any row-level coupling —
-	// one min slack against one max drift — taints every row that can
-	// see a moved leaf somewhere in its lists.
-	FarMargin  []float64
-	FarPath    []float64
-	NearMargin []float64
-	NearPath   []float64
-	SymPath    []float64
-	CedePath   []float64
 	// FarOrd[k] is the expansion order the ladder admitted Far[k] at
-	// (farorder.go): the batch kernels dispatch the moment corrections on
-	// it without re-testing geometry. nil when compiled at FarOrder = 0,
-	// where every far entry is order 0 — the margin semantics are then
-	// exactly the pre-ladder ones. Under a ladder the margins change
-	// meaning slightly: an entry's FarMargin is its distance to the
-	// nearest ORDER boundary (drifting across one reclassifies the entry
-	// even if it stays far), and near/path margins measure to the loosest
-	// rung, macs[FarOrder].
+	// (farorder.go). The kernels correct every far entry through the run
+	// order, so the stream only records admission: RecordMetrics splits
+	// the far counts by it and RecheckLists diffs it. nil when compiled
+	// at FarOrder = 0, where every far entry is order 0.
 	FarOrd []uint8
 }
 
@@ -106,10 +71,7 @@ func (il *InteractionLists) NumNear() int { return len(il.Near) }
 // MemoryBytes reports the list footprint.
 func (il *InteractionLists) MemoryBytes() int64 {
 	return int64(len(il.Rows)+len(il.FarOff)+len(il.Far)+
-		len(il.NearOff)+len(il.Near)+len(il.SymOff)+len(il.Sym)+
-		len(il.CedeOff)+len(il.Cede))*4 +
-		int64(len(il.FarMargin)+len(il.FarPath)+len(il.NearMargin)+
-			len(il.NearPath)+len(il.SymPath)+len(il.CedePath))*8 +
+		len(il.NearOff)+len(il.Near)+len(il.SymOff)+len(il.Sym))*4 +
 		int64(len(il.FarOrd))
 }
 
@@ -124,14 +86,6 @@ type CompiledLists struct {
 	// Born rows are q-point leaves (Figure 2); Epol rows are atom leaves
 	// (Figure 3).
 	Born, Epol *InteractionLists
-	// nodeC/nodeR snapshot the atoms-octree node centers and radii the
-	// lists were certified against (at compile or at the last repair).
-	// The incremental repair compares them to the post-update geometry to
-	// measure each node's ACTUAL drift — far tighter than any a-priori
-	// displacement bound, since an opening test's operands move with a
-	// node's centroid and radius, not with the fastest atom.
-	nodeC []geom.Vec3
-	nodeR []float64
 }
 
 // matches reports whether the cached lists were compiled under the
@@ -148,12 +102,7 @@ func (cl *CompiledLists) MemoryBytes() int64 {
 
 // rowLists is one row's lists during compilation.
 type rowLists struct {
-	far, near, sym, cede []int32
-	// farM/nearM are the per-entry opening-test slacks; farP/nearP the
-	// per-entry path minima over internal tests (see the margin block in
-	// InteractionLists). nearM stays nil for leaf-first (E_pol) rows;
-	// symP/cedeP are carved out of nearP by symmetrizeNear.
-	farM, farP, nearM, nearP, symP, cedeP []float64
+	far, near, sym []int32
 	// farO is the per-entry admitted order; nil when compiled at
 	// FarOrder = 0.
 	farO []uint8
@@ -167,19 +116,13 @@ type rowLists struct {
 // tests openness first (a far leaf uses the pseudo-q-point shortcut).
 // leafFirst selects between the two orderings. macs/pmax are the opening
 // multiplier ladder (farorder.go); pmax = 0 degenerates to the original
-// single-multiplier classification, margins included, bit for bit. pmin
-// is the minimum internal-test slack accumulated on the root path so far
-// (math.Inf(1) at the root): every emitted entry records it, so the
-// repair can check each entry's path against the drift on THAT path
-// alone.
-func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[maxFarOrder + 1]float64, pmax int, leafFirst bool, pmin float64, out *rowLists) {
+// single-multiplier classification.
+func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[maxFarOrder + 1]float64, pmax int, leafFirst bool, out *rowLists) {
 	node := &t.Nodes[n]
 	if leafFirst && node.IsLeaf {
 		out.near = append(out.near, n)
-		out.nearP = append(out.nearP, pmin)
 		return
 	}
-	d2 := center.Sub(node.Center).Norm2()
 	// Loosened rungs admit INTERNAL nodes only: admitting a leaf pair
 	// early has nothing to consolidate — it would trade an exact near
 	// block for an approximate far entry, spending error budget while
@@ -191,50 +134,21 @@ func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[
 	if node.IsLeaf {
 		p = 0
 	}
-	ord, far := farOrderOf(d2, node.Radius, radius, macs, p)
-	dist := math.Sqrt(d2)
+	ord, far := farOrderOf(center.Sub(node.Center).Norm2(), node.Radius, radius, macs, p)
 	if far {
-		// The slack is the distance to the nearest boundary that would
-		// RECLASSIFY the entry. For an order-0 entry that is the base
-		// multiplier (one-sided under a ladder: drifting below macs[0]
-		// demotes the entry to order 1 — or to near for a leaf — so the
-		// absolute value matches the pre-ladder expression bitwise). An
-		// order-k entry sits between rungs k and k−1 and can flip either
-		// way.
-		m := math.Abs(dist - (node.Radius+radius)*macs[0])
-		if ord > 0 {
-			m = dist - (node.Radius+radius)*macs[ord]
-			if up := (node.Radius+radius)*macs[ord-1] - dist; up < m {
-				m = up
-			}
-		}
 		out.far = append(out.far, n)
-		out.farM = append(out.farM, m)
-		out.farP = append(out.farP, pmin)
 		if pmax > 0 {
 			out.farO = append(out.farO, uint8(ord))
 		}
 		return
 	}
-	// Not admitted at any order: the nearest boundary is the loosest
-	// rung the node is ELIGIBLE for — macs[pmax] for internal nodes,
-	// macs[0] for leaves (== pre-ladder, where math.Abs of the negated
-	// difference yields the same bits).
-	m := (node.Radius+radius)*macs[p] - dist
 	if node.IsLeaf {
 		out.near = append(out.near, n)
-		out.nearM = append(out.nearM, m)
-		out.nearP = append(out.nearP, pmin)
 		return
-	}
-	// Descending: an internal test, owned by the row (the node appears
-	// in no list) — it joins the path minimum of everything below.
-	if m < pmin {
-		pmin = m
 	}
 	for _, child := range node.Children {
 		if child != octree.NoChild {
-			classify(t, child, center, radius, macs, pmax, leafFirst, pmin, out)
+			classify(t, child, center, radius, macs, pmax, leafFirst, out)
 		}
 	}
 }
@@ -250,7 +164,7 @@ func compileLists(atoms *octree.Tree, rowTree *octree.Tree, mac float64, pmax, d
 	per := make([]rowLists, len(rows))
 	compileRow := func(i int) {
 		rn := &rowTree.Nodes[rows[i]]
-		classify(atoms, atoms.Root(), rn.Center, rn.Radius, &macs, pmax, leafFirst, math.Inf(1), &per[i])
+		classify(atoms, atoms.Root(), rn.Center, rn.Radius, &macs, pmax, leafFirst, &per[i])
 	}
 	if pool == nil {
 		for i := range rows {
@@ -270,60 +184,35 @@ func compileLists(atoms *octree.Tree, rowTree *octree.Tree, mac float64, pmax, d
 	return assembleLists(rows, per)
 }
 
-// assembleLists packs per-row compilation results into CSR form. Shared
-// by the full compile and the incremental repair, so a repaired list is
-// byte-for-byte the structure a fresh compile would produce.
+// assembleLists packs per-row compilation results into CSR form.
 func assembleLists(rows []int32, per []rowLists) *InteractionLists {
 	il := &InteractionLists{
 		// rows is typically the rowTree's live leaf slice, which a later
-		// tracked update rewrites in place (rebuildLeafList) — the lists
-		// must own their row ids or a cached compile silently renumbers.
+		// Tree.Update rewrites in place (rebuildLeafList) — the lists must
+		// own their row ids or a cached compile silently renumbers.
 		Rows:    append([]int32(nil), rows...),
 		FarOff:  make([]int32, len(rows)+1),
 		NearOff: make([]int32, len(rows)+1),
 		SymOff:  make([]int32, len(rows)+1),
-		CedeOff: make([]int32, len(rows)+1),
 	}
-	var nf, nn, ns, nc int32
+	var nf, nn, ns int32
 	for i := range per {
-		il.FarOff[i], il.NearOff[i], il.SymOff[i], il.CedeOff[i] = nf, nn, ns, nc
+		il.FarOff[i], il.NearOff[i], il.SymOff[i] = nf, nn, ns
 		nf += int32(len(per[i].far))
 		nn += int32(len(per[i].near))
 		ns += int32(len(per[i].sym))
-		nc += int32(len(per[i].cede))
 	}
-	il.FarOff[len(rows)], il.NearOff[len(rows)], il.SymOff[len(rows)], il.CedeOff[len(rows)] = nf, nn, ns, nc
+	il.FarOff[len(rows)], il.NearOff[len(rows)], il.SymOff[len(rows)] = nf, nn, ns
 	il.Far = make([]int32, 0, nf)
 	il.Near = make([]int32, 0, nn)
 	il.Sym = make([]int32, 0, ns)
-	il.Cede = make([]int32, 0, nc)
-	il.FarMargin = make([]float64, 0, nf)
-	il.FarPath = make([]float64, 0, nf)
-	il.NearPath = make([]float64, 0, nn)
-	il.SymPath = make([]float64, 0, ns)
-	il.CedePath = make([]float64, 0, nc)
-	withNearM, withFarO := false, false
+	withFarO := false
 	for i := range per {
 		il.Far = append(il.Far, per[i].far...)
 		il.Near = append(il.Near, per[i].near...)
 		il.Sym = append(il.Sym, per[i].sym...)
-		il.Cede = append(il.Cede, per[i].cede...)
-		il.FarMargin = append(il.FarMargin, per[i].farM...)
-		il.FarPath = append(il.FarPath, per[i].farP...)
-		il.NearPath = append(il.NearPath, per[i].nearP...)
-		il.SymPath = append(il.SymPath, per[i].symP...)
-		il.CedePath = append(il.CedePath, per[i].cedeP...)
-		if per[i].nearM != nil {
-			withNearM = true
-		}
 		if per[i].farO != nil {
 			withFarO = true
-		}
-	}
-	if withNearM { // Born lists; E_pol's leaf-first rows carry no near tests
-		il.NearMargin = make([]float64, 0, nn)
-		for i := range per {
-			il.NearMargin = append(il.NearMargin, per[i].nearM...)
 		}
 	}
 	if withFarO { // ladder compiles; every far entry carries its order
@@ -358,36 +247,20 @@ func symmetrizeNear(t *octree.Tree, rows []int32, per []rowLists) {
 	}
 	for i := range per {
 		kept := per[i].near[:0]
-		keptP := per[i].nearP[:0]
-		for x, u := range per[i].near {
-			p := per[i].nearP[x]
+		for _, u := range per[i].near {
 			j := int(rowOf[u])
-			switch {
-			case j == i:
+			if j == i {
 				kept = append(kept, u)
-				keptP = append(keptP, p)
-			case j > i:
-				if _, ok := slices.BinarySearch(sorted[j], rows[i]); ok {
-					per[i].sym = append(per[i].sym, u)
-					per[i].symP = append(per[i].symP, p)
-				} else {
-					kept = append(kept, u)
-					keptP = append(keptP, p)
-				}
-			default:
-				// Row j already claimed the mutual pair; keep only if it
-				// was one-directional, recording the cession (and this
-				// row's path certificate for it) otherwise.
-				if _, ok := slices.BinarySearch(sorted[j], rows[i]); !ok {
-					kept = append(kept, u)
-					keptP = append(keptP, p)
-				} else {
-					per[i].cede = append(per[i].cede, u)
-					per[i].cedeP = append(per[i].cedeP, p)
-				}
+				continue
 			}
+			if _, mutual := slices.BinarySearch(sorted[j], rows[i]); !mutual {
+				kept = append(kept, u)
+			} else if j > i {
+				per[i].sym = append(per[i].sym, u)
+			}
+			// else: row j already swept the mutual pair into its Sym.
 		}
-		per[i].near, per[i].nearP = kept, keptP
+		per[i].near = kept
 	}
 }
 
@@ -401,20 +274,7 @@ func (s *System) compile(pool *sched.Pool) *CompiledLists {
 	}
 	cl.Born = compileLists(s.Atoms, s.QPts, cl.bornMAC, cl.farOrder, bornLadderDeg(s.Params.Kernel), false, false, pool)
 	cl.Epol = compileLists(s.Atoms, s.Atoms, cl.epolFar, cl.farOrder, epolLadderDeg, true, true, pool)
-	cl.nodeC, cl.nodeR = snapshotNodes(s.Atoms)
 	return cl
-}
-
-// snapshotNodes copies the tree's node centers and radii (by node id) —
-// the geometric state the repair certificates measure drift against.
-func snapshotNodes(t *octree.Tree) ([]geom.Vec3, []float64) {
-	c := make([]geom.Vec3, len(t.Nodes))
-	r := make([]float64, len(t.Nodes))
-	for i := range t.Nodes {
-		c[i] = t.Nodes[i].Center
-		r[i] = t.Nodes[i].Radius
-	}
-	return c, r
 }
 
 // RecordMetrics publishes the lists' static structure to the observer:

@@ -75,10 +75,10 @@ func bornRow(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 		// entry, plus the run order's moment correction into the node's
 		// receiver expansion (farorder.go; translated to atoms by
 		// PushIntegralsToAtoms). Every far entry is corrected through
-		// Params.FarOrder — the per-entry admitted rung (FarOrd) governs
-		// admission and repair margins only; correcting a rung-0 entry
-		// through the full order is strictly MORE accurate, and keeping
-		// the order uniform keeps this loop branch-free. The dipole arm
+		// Params.FarOrder — the per-entry admitted rung (FarOrd) records
+		// admission only; correcting a rung-0 entry through the full
+		// order is strictly MORE accurate, and keeping the order uniform
+		// keeps this loop branch-free. The dipole arm
 		// of bornFarCorrection is hand-expanded here (ds = a0·tr(M1) −
 		// 2a1·dᵀM1d, dg = 2a1(M0·d)·d − a0·M0): at ~30 flops the call
 		// and its 10-float return dominated the math, and the order-1
@@ -355,7 +355,7 @@ func epolNearBlock(ctx *EpolContext, sys *System, ul int32, vx, vy, vz, cv, rv, 
 // FarOrder = 0); when present EVERY entry adds the run order's moment
 // correction of farorder.go to its pair sum — the identical scalar
 // float64 expression at the identical position in every tier. The
-// per-entry rung is admission/repair metadata, not an evaluation order:
+// per-entry rung is admission metadata, not an evaluation order:
 // correcting rung-0 entries through the full order is strictly more
 // accurate and keeps the loop branch-free.
 func farField(ctx *EpolContext, sys *System, leaf int32, far []int32, fo []uint8, exact bool, conv []float64, acc *epolAccum) {

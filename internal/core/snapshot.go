@@ -47,9 +47,12 @@ const (
 	// Version 2 added the far-order machinery: Params.FarOrder in the
 	// parameter stamp, the octrees' moment registries, and the per-entry
 	// admitted orders (FarOrd) plus the compiled farOrder in the list
-	// block. Version-1 snapshots are refused with ErrSnapshotVersion —
-	// their lists lack the orders the kernels now require.
-	snapshotVersion = 2
+	// block. Version 3 dropped the list-repair certificates (per-entry
+	// margins and paths, ceded pairs, node geometry snapshot). Older
+	// snapshots are refused with ErrSnapshotVersion: version 1 lists lack
+	// the orders the kernels require, version 2 list blocks carry sections
+	// this layout does not.
+	snapshotVersion = 3
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -127,12 +130,6 @@ func EncodeSnapshot(sys *System) ([]byte, error) {
 		w.U8(uint8(lists.farOrder))
 		appendIL(&w, lists.Born)
 		appendIL(&w, lists.Epol)
-		nodeC := make([]float64, 0, 3*len(lists.nodeC))
-		for _, c := range lists.nodeC {
-			nodeC = append(nodeC, c.X, c.Y, c.Z)
-		}
-		w.F64s(nodeC)
-		w.F64s(lists.nodeR)
 	} else {
 		w.Bool(false)
 	}
@@ -200,18 +197,8 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64(), farOrder: int(r.U8())}
 		cl.Born = decodeIL(r)
 		cl.Epol = decodeIL(r)
-		nodeC := r.F64s()
-		cl.nodeR = r.F64s()
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
-		}
-		if len(nodeC) != 3*ta.NumNodes() || len(cl.nodeR) != ta.NumNodes() {
-			return nil, fmt.Errorf("%w: node geometry arrays sized %d/%d for %d nodes",
-				ErrSnapshotCorrupt, len(nodeC), len(cl.nodeR), ta.NumNodes())
-		}
-		cl.nodeC = make([]geom.Vec3, ta.NumNodes())
-		for i := range cl.nodeC {
-			cl.nodeC[i] = geom.Vec3{X: nodeC[3*i], Y: nodeC[3*i+1], Z: nodeC[3*i+2]}
 		}
 		if err := validateIL("born", cl.Born, tq, ta); err != nil {
 			return nil, err
@@ -259,23 +246,15 @@ func decodeParams(r *wire.Reader) (Params, error) {
 	if r.Err() != nil {
 		return Params{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 	}
-	if p.Math != mathx.Exact && p.Math != mathx.Approximate {
-		return Params{}, fmt.Errorf("%w: math mode %d", ErrSnapshotCorrupt, p.Math)
-	}
-	if p.Kernel != R6 && p.Kernel != R4 {
-		return Params{}, fmt.Errorf("%w: born kernel %d", ErrSnapshotCorrupt, p.Kernel)
-	}
-	if p.Precision < PrecisionExact || p.Precision > PrecisionF32 {
-		return Params{}, fmt.Errorf("%w: precision tier %d", ErrSnapshotCorrupt, p.Precision)
-	}
-	if p.Builder != octree.BuilderRecursive && p.Builder != octree.BuilderMorton {
-		return Params{}, fmt.Errorf("%w: octree builder %d", ErrSnapshotCorrupt, p.Builder)
-	}
-	if p.LeafCap <= 0 || p.LeafCap > 1<<20 {
+	if p.LeafCap > 1<<20 {
 		return Params{}, fmt.Errorf("%w: leaf cap %d", ErrSnapshotCorrupt, p.LeafCap)
 	}
 	if err := p.Validate(); err != nil {
 		return Params{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	// Snapshots store defaulted parameters; a zero field can only be crafted.
+	if p != p.withDefaults() {
+		return Params{}, fmt.Errorf("%w: parameters not defaulted", ErrSnapshotCorrupt)
 	}
 	return p, nil
 }
@@ -341,8 +320,9 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 // validateIL re-establishes every structural invariant the batch kernels
 // rely on: rows are exactly the row tree's leaves in order, each CSR
 // offset array brackets its entry array, entries index atoms-tree nodes,
-// and every margin array has the length its entry array implies. A list
-// that passes cannot make any kernel index out of bounds.
+// and the admitted-order stream (when present) matches the far entries
+// and stays in range. A list that passes cannot make any kernel index
+// out of bounds.
 func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) error {
 	leaves := rowTree.Leaves()
 	if len(il.Rows) != len(leaves) {
@@ -388,27 +368,9 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 	if err := checkCSR("sym", il.SymOff, il.Sym); err != nil {
 		return err
 	}
-	if err := checkCSR("cede", il.CedeOff, il.Cede); err != nil {
-		return err
-	}
-	for _, m := range []struct {
-		name     string
-		got      int
-		want     int
-		optional bool
-	}{
-		{"far margins", len(il.FarMargin), len(il.Far), false},
-		{"far paths", len(il.FarPath), len(il.Far), false},
-		{"far orders", len(il.FarOrd), len(il.Far), true},
-		{"near margins", len(il.NearMargin), len(il.Near), true},
-		{"near paths", len(il.NearPath), len(il.Near), false},
-		{"sym paths", len(il.SymPath), len(il.Sym), false},
-		{"cede paths", len(il.CedePath), len(il.Cede), false},
-	} {
-		if m.got != m.want && !(m.optional && m.got == 0) {
-			return fmt.Errorf("%w: %s %s sized %d for %d entries",
-				ErrSnapshotCorrupt, phase, m.name, m.got, m.want)
-		}
+	if len(il.FarOrd) != 0 && len(il.FarOrd) != len(il.Far) {
+		return fmt.Errorf("%w: %s far orders sized %d for %d entries",
+			ErrSnapshotCorrupt, phase, len(il.FarOrd), len(il.Far))
 	}
 	// The kernels and RecordMetrics index by admitted order, so a
 	// corrupted order byte must be rejected here, not panic there.
@@ -424,22 +386,14 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 // decodeIL reads one interaction-list structure.
 func decodeIL(r *wire.Reader) *InteractionLists {
 	return &InteractionLists{
-		Rows:       r.I32s(),
-		FarOff:     r.I32s(),
-		Far:        r.I32s(),
-		NearOff:    r.I32s(),
-		Near:       r.I32s(),
-		SymOff:     r.I32s(),
-		Sym:        r.I32s(),
-		CedeOff:    r.I32s(),
-		Cede:       r.I32s(),
-		FarMargin:  r.F64s(),
-		FarPath:    r.F64s(),
-		NearMargin: r.F64s(),
-		NearPath:   r.F64s(),
-		SymPath:    r.F64s(),
-		CedePath:   r.F64s(),
-		FarOrd:     r.U8s(),
+		Rows:    r.I32s(),
+		FarOff:  r.I32s(),
+		Far:     r.I32s(),
+		NearOff: r.I32s(),
+		Near:    r.I32s(),
+		SymOff:  r.I32s(),
+		Sym:     r.I32s(),
+		FarOrd:  r.U8s(),
 	}
 }
 
@@ -452,14 +406,6 @@ func appendIL(w *wire.Writer, il *InteractionLists) {
 	w.I32s(il.Near)
 	w.I32s(il.SymOff)
 	w.I32s(il.Sym)
-	w.I32s(il.CedeOff)
-	w.I32s(il.Cede)
-	w.F64s(il.FarMargin)
-	w.F64s(il.FarPath)
-	w.F64s(il.NearMargin)
-	w.F64s(il.NearPath)
-	w.F64s(il.SymPath)
-	w.F64s(il.CedePath)
 	w.U8s(il.FarOrd)
 }
 

@@ -118,6 +118,11 @@ func TestSnapshotCorruptions(t *testing.T) {
 			binary.LittleEndian.PutUint16(b[8:10], 1)
 			return b
 		}, ErrSnapshotVersion},
+		// Version 2 list blocks still carried the repair certificates.
+		{"v2 snapshot", func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[8:10], 2)
+			return b
+		}, ErrSnapshotVersion},
 		{"stamp mismatch", func(b []byte) []byte {
 			b[10] ^= 0xff // first byte of the u64 parameter stamp
 			return restamp(b)
@@ -125,6 +130,13 @@ func TestSnapshotCorruptions(t *testing.T) {
 		{"param out of range", func(b []byte) []byte {
 			// Math mode byte (after magic+version+stamp+3 float64 params).
 			b[8+2+8+24] = 7
+			return restamp(b)
+		}, ErrSnapshotCorrupt},
+		{"zero parameter", func(b []byte) []byte {
+			// EpsSolv (third float64 param) zeroed: the stamp, computed
+			// over defaulted parameters, still matches, so only the
+			// defaulted-form check can reject it.
+			clear(b[8+2+8+16 : 8+2+8+24])
 			return restamp(b)
 		}, ErrSnapshotCorrupt},
 		{"trailing garbage", func(b []byte) []byte {
@@ -178,10 +190,9 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The epol list's FarOrd bytes sit right before the nodeC/nodeR
-		// geometry arrays at the end of the list block.
-		na := sys.Atoms.NumNodes()
-		last := len(data) - 4 - (4 + na*8) - (4 + 3*na*8) - 1
+		// The epol list's FarOrd bytes end the list block, right before
+		// the CRC trailer.
+		last := len(data) - 4 - 1
 		if got := data[last]; got > maxFarOrder {
 			t.Fatalf("expected a FarOrd byte at offset %d, found %d (layout drifted?)", last, got)
 		}

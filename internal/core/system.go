@@ -9,6 +9,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -66,8 +67,7 @@ type Params struct {
 	// Builder selects the octree construction algorithm for both trees
 	// (default the recursive reference builder; octree.BuilderMorton is
 	// the sorted cold-path builder). Both produce the same decomposition
-	// on realistic inputs; Morton is faster and keys the atoms tree for
-	// incremental updates.
+	// on realistic inputs; Morton is faster.
 	Builder octree.Builder
 	// DebugCheckLists makes every compiled-list evaluation recompile the
 	// interaction lists from the current geometry and assert they match
@@ -97,35 +97,53 @@ func DefaultParams() Params {
 	return Params{EpsBorn: 0.9, EpsEpol: 0.9, EpsSolv: 80, Math: mathx.Exact, LeafCap: 8}
 }
 
+// withDefaults fills the zero-valued fields with their defaults. Only
+// the zero value means "default"; Validate rejects everything else out
+// of range, so callers validate first.
 func (p Params) withDefaults() Params {
-	if p.EpsBorn <= 0 {
+	if p.EpsBorn == 0 {
 		p.EpsBorn = 0.9
 	}
-	if p.EpsEpol <= 0 {
+	if p.EpsEpol == 0 {
 		p.EpsEpol = 0.9
 	}
-	if p.EpsSolv <= 1 {
+	if p.EpsSolv == 0 {
 		p.EpsSolv = 80
 	}
-	if p.LeafCap <= 0 {
+	if p.LeafCap == 0 {
 		p.LeafCap = 8
 	}
 	return p
 }
 
-// Validate reports parameter problems.
+// ErrInvalidParams reports a Params field outside its domain.
+var ErrInvalidParams = errors.New("core: invalid parameters")
+
+// Validate reports the first field outside its domain, wrapping
+// ErrInvalidParams. A zero field is valid: it means "use the default".
 func (p Params) Validate() error {
-	if math.IsNaN(p.EpsBorn) || p.EpsBorn < 0 {
-		return fmt.Errorf("core: EpsBorn %g invalid", p.EpsBorn)
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: "+format, append([]any{ErrInvalidParams}, args...)...)
 	}
-	if math.IsNaN(p.EpsEpol) || p.EpsEpol < 0 {
-		return fmt.Errorf("core: EpsEpol %g invalid", p.EpsEpol)
-	}
-	if p.EpsSolv <= 1 {
-		return fmt.Errorf("core: EpsSolv %g must exceed 1", p.EpsSolv)
-	}
-	if p.FarOrder < 0 || p.FarOrder > 2 {
-		return fmt.Errorf("core: FarOrder %d out of range [0,2]", p.FarOrder)
+	switch {
+	case !(p.EpsBorn >= 0) || math.IsInf(p.EpsBorn, 1):
+		return bad("EpsBorn %g must be positive", p.EpsBorn)
+	case !(p.EpsEpol >= 0) || math.IsInf(p.EpsEpol, 1):
+		return bad("EpsEpol %g must be positive", p.EpsEpol)
+	case p.EpsSolv != 0 && (!(p.EpsSolv > 1) || math.IsInf(p.EpsSolv, 1)):
+		return bad("EpsSolv %g must exceed 1", p.EpsSolv)
+	case p.LeafCap < 0:
+		return bad("LeafCap %d must be positive", p.LeafCap)
+	case p.FarOrder < 0 || p.FarOrder > maxFarOrder:
+		return bad("FarOrder %d out of range [0,%d]", p.FarOrder, maxFarOrder)
+	case p.Math != mathx.Exact && p.Math != mathx.Approximate:
+		return bad("math mode %d", p.Math)
+	case p.Kernel != R6 && p.Kernel != R4:
+		return bad("born kernel %d", p.Kernel)
+	case p.Precision < PrecisionExact || p.Precision > PrecisionF32:
+		return bad("precision tier %d", p.Precision)
+	case p.Builder != octree.BuilderRecursive && p.Builder != octree.BuilderMorton:
+		return bad("octree builder %d", p.Builder)
 	}
 	return nil
 }
@@ -189,12 +207,13 @@ type System struct {
 // pair. It is the preprocessing step the paper's timing excludes
 // ("we can consider the octree construction cost as a pre-processing
 // cost", Section IV.C); Runner implementations time the energy phases
-// only, like the paper.
+// only, like the paper. Parameters are validated before defaulting, so
+// an out-of-range field fails with ErrInvalidParams.
 func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*System, error) {
-	params = params.withDefaults()
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	params = params.withDefaults()
 	if mol.NumAtoms() == 0 {
 		return nil, fmt.Errorf("core: molecule %q has no atoms", mol.Name)
 	}
@@ -477,9 +496,16 @@ func (s *System) UpdateAtoms(newPositions []geom.Vec3) (moved int, err error) {
 	if err != nil {
 		return moved, err
 	}
-	s.commitAtomPositions(newPositions)
-	// Non-rigid motion: the compiled near/far classification is stale.
-	// (UpdateAtomsRepair is the variant that repairs it instead.)
+	for i := range s.Mol.Atoms {
+		s.Mol.Atoms[i].Pos = newPositions[i]
+	}
+	for slot, orig := range s.Atoms.Index {
+		s.Charge[slot] = s.Mol.Atoms[orig].Charge
+		s.Radius[slot] = s.Mol.Atoms[orig].Radius
+	}
+	s.refreshAtomSoA()
+	// Non-rigid motion: the compiled near/far classification is stale and
+	// recompiles on next use.
 	s.InvalidateLists()
 	return moved, nil
 }

@@ -138,11 +138,24 @@ func TestNetWatchdogAcceptance(t *testing.T) {
 	// Poll /healthz while the run is live: once the first verdict fires
 	// the state must read "anomalous" (the cluster is structurally
 	// healthy, so nothing else claims precedence).
+	// runDone closes when the run returns, so a run that raised no verdict
+	// fails below instead of leaving this poller (and pollWG.Wait) blocked.
 	var pollWG sync.WaitGroup
+	runDone := make(chan struct{})
 	pollWG.Add(1)
 	go func() {
 		defer pollWG.Done()
-		v := <-fired
+		var v watch.Verdict
+		select {
+		case v = <-fired:
+		case <-runDone:
+			// Both may be ready at once; a queued verdict still counts.
+			select {
+			case v = <-fired:
+			default:
+				return
+			}
+		}
 		collect(v)
 		m, err := net.WaitMembership(m3, 30*time.Second)
 		if err != nil || m.ObsAddr == "" {
@@ -177,6 +190,7 @@ func TestNetWatchdogAcceptance(t *testing.T) {
 			}
 		},
 	}, flightDir, "127.0.0.1:0")
+	close(runDone)
 	pollWG.Wait()
 
 	mu.Lock()

@@ -10,10 +10,9 @@ import (
 // This file serializes a Tree for the checkpoint/snapshot format
 // (internal/core snapshot codec). The encoding captures everything Build
 // produced — nodes, the slot permutation, the reordered points, the root
-// box, the leaf capacity, the builder kind and (for Morton trees) the
-// per-slot keys — so a decoded tree is node-for-node identical to the
-// original and immediately usable by the kernels and the incremental
-// update machinery, with no rebuild. The scheduling pool is runtime
+// box, the leaf capacity and the builder kind — so a decoded tree is
+// node-for-node identical to the original and immediately usable by the
+// kernels and the incremental update machinery, with no rebuild. The scheduling pool is runtime
 // state and is not serialized.
 
 // AppendTo encodes the tree onto w.
@@ -46,7 +45,6 @@ func (t *Tree) AppendTo(w *wire.Writer) {
 		w.F64(v)
 	}
 	w.U8(uint8(t.builder))
-	w.U64s(t.keys)
 	w.U32(uint32(len(t.moments)))
 	for _, ms := range t.moments {
 		w.Str(ms.Name)
@@ -110,7 +108,6 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 	t.rootBox.Min = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	t.rootBox.Max = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	b := Builder(r.U8())
-	t.keys = r.U64s()
 	// Moment sets: decoded verbatim (a snapshot restores moments without
 	// recomputation), every array length validated against the node and
 	// point counts so a truncated or corrupted moment block fails here
@@ -162,9 +159,6 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 	}
 	if t.leafCap <= 0 {
 		return nil, fmt.Errorf("octree: decode: leaf capacity %d", t.leafCap)
-	}
-	if t.keys != nil && len(t.keys) != nPts {
-		return nil, fmt.Errorf("octree: decode: %d keys for %d points", len(t.keys), nPts)
 	}
 	// Children must point strictly forward (Build appends children after
 	// their parent): this bounds every child index AND makes the node

@@ -43,9 +43,6 @@ func (t *Tree) Update(newPts []geom.Vec3) (moved int, err error) {
 			return 0, fmt.Errorf("octree: point %d is not finite: %v", i, p)
 		}
 	}
-	// The untracked path does not maintain Morton keys; drop them so a
-	// later tracked update recomputes rather than trusting stale keys.
-	t.keys = nil
 	for slot, orig := range t.Index {
 		t.Pts[slot] = newPts[orig]
 	}
@@ -90,7 +87,7 @@ func (t *Tree) Update(newPts []geom.Vec3) (moved int, err error) {
 	for _, li := range target {
 		counts[li]++
 	}
-	t.pruneEmpty(0, counts, nil)
+	t.pruneEmpty(0, counts)
 
 	// Structural leaf order (children visited in octant order) defines
 	// the new slot layout.
@@ -170,10 +167,8 @@ func (t *Tree) route(p geom.Vec3, boxes []geom.AABB) (int32, []geom.AABB) {
 }
 
 // pruneEmpty removes children whose subtree holds no points anymore.
-// It returns the subtree's total count. When strct is non-nil, nodes
-// whose child set or leaf-ness changes are flagged (the tracked update's
-// structural-change report).
-func (t *Tree) pruneEmpty(node int32, counts []int32, strct []bool) int32 {
+// It returns the subtree's total count.
+func (t *Tree) pruneEmpty(node int32, counts []int32) int32 {
 	nd := &t.Nodes[node]
 	if nd.IsLeaf {
 		return counts[node]
@@ -186,12 +181,9 @@ func (t *Tree) pruneEmpty(node int32, counts []int32, strct []bool) int32 {
 		if c == NoChild {
 			continue
 		}
-		sub := t.pruneEmpty(c, counts, strct)
+		sub := t.pruneEmpty(c, counts)
 		if sub == 0 {
 			nd.Children[o] = NoChild
-			if strct != nil {
-				strct[node] = true
-			}
 			continue
 		}
 		total += sub
@@ -204,9 +196,6 @@ func (t *Tree) pruneEmpty(node int32, counts []int32, strct []bool) int32 {
 	_ = lastLive
 	if live == 0 {
 		nd.IsLeaf = true
-		if strct != nil {
-			strct[node] = true
-		}
 	}
 	return total
 }
@@ -322,8 +311,8 @@ func (t *Tree) refreshNodeGeometry(n *Node) {
 }
 
 // refreshGeometryAll refreshes every reachable node, then the moments
-// that depend on the refreshed centers. Every update path (Update,
-// UpdateTracked, both fast paths) funnels through here, so the attached
+// that depend on the refreshed centers. Every update path (Update and
+// its fast path) funnels through here, so the attached
 // moment sets are always consistent with node geometry.
 func (t *Tree) refreshGeometryAll() {
 	t.walkReachable(func(id int32) {

@@ -17,7 +17,7 @@ import (
 // ORIGINAL point order — the same order Build's input used — so they
 // survive every slot permutation the incremental updates perform. They
 // are recomputed bottom-up in one pass whenever node geometry refreshes
-// (build finalize, Update, UpdateTracked, rebuildAll) and rotated in
+// (build finalize, Update, rebuildAll) and rotated in
 // place under ApplyTransform, so they are always consistent with the
 // node centers the kernels read.
 

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,7 +93,10 @@ func TestMomentsMatchBruteForce(t *testing.T) {
 	}
 }
 
-func TestMomentsSurviveTrackedUpdate(t *testing.T) {
+// TestMomentsSurviveUpdate walks a trajectory of Update calls — large
+// enough jiggles that points relocate, leaves materialize and prune —
+// and re-derives every node's moments by brute force after each round.
+func TestMomentsSurviveUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(277))
 	pts := randPts(rng, 2500, 60)
 	tr, err := Build(pts, Options{LeafCap: 8, Builder: BuilderMorton})
@@ -100,23 +104,17 @@ func TestMomentsSurviveTrackedUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	attachTestMoments(t, tr, rng)
-	for round := 0; round < 4; round++ {
-		pts = jiggle(rng, pts, 2.5) // large enough to relocate points
-		upd, err := tr.UpdateTracked(pts)
+	for round, d := range []float64{2.5, 2.5, 2.5, 2.5, 4.0} {
+		pts = jiggle(rng, pts, d)
+		moved, err := tr.Update(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if round == 0 && upd.Moved == 0 {
+		if round == 0 && moved == 0 {
 			t.Fatal("jiggle relocated no points; the test exercises nothing")
 		}
-		checkMomentsBruteForce(t, tr, "after UpdateTracked")
+		checkMomentsBruteForce(t, tr, fmt.Sprintf("after Update round %d", round))
 	}
-	// The untracked Update path funnels through the same refresh hook.
-	pts = jiggle(rng, pts, 4.0)
-	if _, err := tr.Update(pts); err != nil {
-		t.Fatal(err)
-	}
-	checkMomentsBruteForce(t, tr, "after Update")
 }
 
 func TestMomentsRotateWithTransform(t *testing.T) {

@@ -68,11 +68,6 @@ func ParseBuilder(s string) (Builder, error) {
 // BuilderKind returns the builder the tree was constructed with.
 func (t *Tree) BuilderKind() Builder { return t.builder }
 
-// Keys returns the Morton keys in tree-slot order, or nil for trees
-// whose keys are unavailable (recursive builds, or after an untracked
-// Update moved points). The slice is shared; callers must not modify it.
-func (t *Tree) Keys() []uint64 { return t.keys }
-
 // buildMorton constructs the hierarchy for the point set already staged
 // in t.Pts/t.Index (input order) inside the given root cube.
 func (t *Tree) buildMorton(root geom.AABB, opts Options) {
@@ -91,28 +86,21 @@ func (t *Tree) buildMorton(root geom.AABB, opts Options) {
 			t.Pts[i] = src[t.Index[i]]
 		}
 	})
-	t.keys = keys
 	maxDepth := opts.MaxDepth
 	if maxDepth > geom.MortonBits {
 		maxDepth = geom.MortonBits
 	}
-	t.buildFromKeys(NoChild, 0, int32(n), 0, maxDepth, opts.LeafCap)
+	t.buildFromKeys(keys, 0, int32(n), 0, maxDepth, opts.LeafCap)
 }
 
-// buildFromKeys writes the node covering key range [start,end) at the
-// given depth — appended when reuse is NoChild, in place otherwise (the
-// tracked update re-splitting an overfull leaf) — and recurses into its
-// octants, mirroring build()'s pre-order node layout exactly. Within a
-// node all keys share the prefix above depth, so the 3-bit digit AT
-// depth is non-decreasing and each octant is one contiguous run found
-// by binary search.
-func (t *Tree) buildFromKeys(reuse, start, end int32, depth, maxDepth, leafCap int) int32 {
-	id := reuse
-	if id == NoChild {
-		id = int32(len(t.Nodes))
-		t.Nodes = append(t.Nodes, Node{})
-	}
-	t.Nodes[id] = Node{Start: start, End: end, Depth: int16(depth)}
+// buildFromKeys appends the node covering slot range [start,end) of the
+// slot-ordered keys at the given depth and recurses into its octants,
+// mirroring build()'s pre-order node layout exactly. Within a node all keys share the prefix
+// above depth, so the 3-bit digit AT depth is non-decreasing and each
+// octant is one contiguous run found by binary search.
+func (t *Tree) buildFromKeys(keys []uint64, start, end int32, depth, maxDepth, leafCap int) int32 {
+	id := int32(len(t.Nodes))
+	t.Nodes = append(t.Nodes, Node{Start: start, End: end, Depth: int16(depth)})
 	for i := range t.Nodes[id].Children {
 		t.Nodes[id].Children[i] = NoChild
 	}
@@ -123,12 +111,12 @@ func (t *Tree) buildFromKeys(reuse, start, end int32, depth, maxDepth, leafCap i
 	cur := start
 	for o := 0; o < 8 && cur < end; o++ {
 		hi := cur + int32(sort.Search(int(end-cur), func(i int) bool {
-			return geom.MortonOctant(t.keys[cur+int32(i)], depth) > o
+			return geom.MortonOctant(keys[cur+int32(i)], depth) > o
 		}))
 		if hi == cur {
 			continue
 		}
-		child := t.buildFromKeys(NoChild, cur, hi, depth+1, maxDepth, leafCap)
+		child := t.buildFromKeys(keys, cur, hi, depth+1, maxDepth, leafCap)
 		t.Nodes[id].Children[o] = child
 		cur = hi
 	}

@@ -61,11 +61,8 @@ type Tree struct {
 	leafCap int
 	rootBox geom.AABB
 
-	// keys holds the Morton key of each slot for Morton-built trees
-	// (nil otherwise); UpdateTracked keeps it current, the untracked
-	// Update invalidates it. builder/pool let incremental rebuilds
-	// reconstruct with the same algorithm and parallelism as Build.
-	keys    []uint64
+	// builder/pool let incremental rebuilds reconstruct with the same
+	// algorithm and parallelism as Build.
 	builder Builder
 	pool    *sched.Pool
 

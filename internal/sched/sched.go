@@ -150,14 +150,18 @@ func (w *Worker) loop() {
 	p := w.pool
 	defer p.wg.Done()
 	for {
+		// Record the epoch BEFORE searching: work pushed after a failed
+		// search but before a later read would leave the epoch unchanged
+		// and the worker asleep on a queued task (Run's push wakes only
+		// workers already sleeping).
+		e := atomic.LoadUint64(&p.epoch)
 		t := w.findWork()
 		if t != nil {
 			w.exec(t)
 			continue
 		}
-		// Nothing found: record the epoch, then sleep unless new work
-		// arrived since the search started.
-		e := atomic.LoadUint64(&p.epoch)
+		// Nothing found: sleep unless new work arrived since the search
+		// started.
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()

@@ -70,6 +70,29 @@ func TestRunReusable(t *testing.T) {
 	}
 }
 
+// Back-to-back Runs on a one-worker pool: the worker goes idle between
+// every pair, so each Run's wake-up races the worker's decision to sleep.
+// A lost wake-up leaves the root task queued and Run blocked forever.
+func TestRunNoLostWakeup(t *testing.T) {
+	p := NewPool(1)
+	var runs atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100000; i++ {
+			p.Run(func(*Worker) {})
+			runs.Add(1)
+		}
+	}()
+	select {
+	case <-done:
+		p.Close()
+	case <-time.After(30 * time.Second):
+		// The pool is wedged; leaking it is the only way out.
+		t.Fatalf("Run %d never completed: the worker slept through a queued root task", runs.Load()+1)
+	}
+}
+
 func TestParallelForCoversExactlyOnce(t *testing.T) {
 	p := NewPool(8)
 	defer p.Close()

@@ -88,14 +88,6 @@ func (w *Writer) I32s(vs []int32) {
 	}
 }
 
-// U64s appends a uint32 count followed by the values.
-func (w *Writer) U64s(vs []uint64) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.U64(v)
-	}
-}
-
 // U8s appends a uint32 count followed by the bytes.
 func (w *Writer) U8s(vs []uint8) {
 	w.U32(uint32(len(vs)))
@@ -228,19 +220,6 @@ func (r *Reader) I32s() []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = r.I32()
-	}
-	return out
-}
-
-// U64s reads a length-prefixed []uint64. Returns nil for count 0.
-func (r *Reader) U64s() []uint64 {
-	n := r.count(8)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.U64()
 	}
 	return out
 }
