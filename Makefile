@@ -108,7 +108,8 @@ bench-far:
 
 ## bench-cold: the cold-path pair — octree construction benchmarks
 ## (recursive vs Morton at 1k/10k/100k points) and the coldstart
-## experiment's build table (EXPERIMENTS.md cold-start section).
+## experiment's build and list-compile tables (EXPERIMENTS.md cold-start
+## section).
 bench-cold:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild' -benchtime 3x -count 2 ./internal/octree/
 	$(GO) run ./cmd/gbbench -exp coldstart

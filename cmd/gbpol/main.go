@@ -257,6 +257,9 @@ func main() {
 
 	fmt.Printf("E_pol = %.6g kcal/mol\n", res.Epol)
 	fmt.Printf("wall time: %.4gs", res.WallSeconds)
+	if res.ListsSeconds > 0 {
+		fmt.Printf("   list compile: %.4gs", res.ListsSeconds)
+	}
 	if res.ModelSeconds > 0 {
 		fmt.Printf("   modeled time: %.4gs", res.ModelSeconds)
 	}

@@ -34,7 +34,7 @@ func Registry() []Experiment {
 		{"fig11", "Scalability on a large molecule (CMV analogue)", fig11},
 		{"extensions", "Beyond the paper: inter-rank work stealing + dynamic octree updates", extensions},
 		{"obs", "Observability overhead: tracing+metrics on vs off", obsOverhead},
-		{"coldstart", "Cold-path performance: Morton vs recursive octree build", coldstart},
+		{"coldstart", "Cold-path performance: Morton vs recursive octree build, list compile vs compute", coldstart},
 		{"lanes", "Kernel ablation: scalar vs laned x exact vs approx vs f32 precision tiers", lanes},
 		{"pareto", "Far-order frontier: error vs far-list size vs warm pose time across eps x FarOrder", pareto},
 	}

@@ -15,6 +15,7 @@ import (
 	"gbpolar/internal/obs"
 	"gbpolar/internal/obs/analyze"
 	"gbpolar/internal/octree"
+	"gbpolar/internal/sched"
 )
 
 // This file is the performance regression gate (`gbbench -baseline` /
@@ -115,6 +116,23 @@ func gateBuildStats(p *prepared) (map[string]float64, error) {
 	return out, nil
 }
 
+// gateCompileStat is the "compile" measurement class: a cold
+// interaction-list compile of the gate system (InvalidateLists, then
+// Lists on a GOMAXPROCS-wide pool), best of 2, in wall milliseconds. The
+// name carries "wall" so the comparison applies the wall-clock floor.
+func gateCompileStat(p *prepared) float64 {
+	pool := sched.NewPool(0)
+	defer pool.Close()
+	best := math.Inf(1)
+	for rep := 0; rep < 2; rep++ {
+		p.sys.InvalidateLists()
+		t0 := time.Now()
+		p.sys.Lists(pool)
+		best = math.Min(best, float64(time.Since(t0))/float64(time.Millisecond))
+	}
+	return best
+}
+
 // GateSamples measures the gate workload reps times and returns one
 // analyzer summary per repetition, each merged with the compiled-list
 // footprint and the cold-build stats. The first (warm-up) run is
@@ -138,6 +156,7 @@ func GateSamples(atoms, reps int, seed int64) ([]map[string]float64, error) {
 		// The lists the run just swept. The name carries no wall/sched
 		// marker, so the gate holds it to the strict floor.
 		s["mem.lists.bytes"] = float64(p.sys.Lists(nil).MemoryBytes())
+		s["ilist.compile.wall_ms"] = gateCompileStat(p)
 		builds, err := gateBuildStats(p)
 		if err != nil {
 			return nil, err

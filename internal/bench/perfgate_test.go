@@ -157,6 +157,13 @@ func TestGateSelfCompare(t *testing.T) {
 	if tol := gate.Tolerance("mem.lists.bytes", gate.Stat{}, gate.Stat{}); tol != gate.StrictFloor {
 		t.Errorf("mem.lists.bytes tolerance %g, want the strict floor %g", tol, gate.StrictFloor)
 	}
+	// The cold list compile is a real timing, held to the wall floor.
+	if b := base.Stats["ilist.compile.wall_ms"]; b.Median <= 0 {
+		t.Errorf("ilist.compile.wall_ms not tracked: %+v", b)
+	}
+	if tol := gate.Tolerance("ilist.compile.wall_ms", gate.Stat{}, gate.Stat{}); tol != gate.WallFloor {
+		t.Errorf("ilist.compile.wall_ms tolerance %g, want the wall floor %g", tol, gate.WallFloor)
+	}
 }
 
 // TestGateRegressionDetected: a synthetic stat table with one phase

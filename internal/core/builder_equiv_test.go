@@ -41,9 +41,9 @@ func listRowSets(t *testing.T, il *InteractionLists) map[int32]rowEntries {
 
 // diffRowSets asserts two builds compiled the same decomposition: the
 // same row set, and per row the same far set and the same evaluated
-// near set. Near entries may migrate between Near and Sym when row
-// iteration order differs (symmetrizeNear credits the mutual pair to
-// whichever row comes first), so near and sym are compared as a union.
+// near set. Near entries may migrate between Near and Sym when the row
+// order differs (symmetrizeNear credits a mutual pair to the row with the
+// lower index), so near and sym are compared as a union.
 func diffRowSets(phase string, a, b map[int32]rowEntries) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%s: %d rows vs %d rows", phase, len(a), len(b))

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
@@ -100,9 +101,10 @@ func (cl *CompiledLists) MemoryBytes() int64 {
 	return cl.Born.MemoryBytes() + cl.Epol.MemoryBytes()
 }
 
-// rowLists is one row's lists during compilation.
-type rowLists struct {
-	far, near, sym []int32
+// listBuf accumulates classify output: the far nodes, near leaves and,
+// under a ladder, the far entries' admitted orders of consecutive rows.
+type listBuf struct {
+	far, near []int32
 	// farO is the per-entry admitted order; nil when compiled at
 	// FarOrder = 0.
 	farO []uint8
@@ -117,7 +119,7 @@ type rowLists struct {
 // leafFirst selects between the two orderings. macs/pmax are the opening
 // multiplier ladder (farorder.go); pmax = 0 degenerates to the original
 // single-multiplier classification.
-func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[maxFarOrder + 1]float64, pmax int, leafFirst bool, out *rowLists) {
+func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[maxFarOrder + 1]float64, pmax int, leafFirst bool, out *listBuf) {
 	node := &t.Nodes[n]
 	if leafFirst && node.IsLeaf {
 		out.near = append(out.near, n)
@@ -153,115 +155,266 @@ func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[
 	}
 }
 
-// compileLists builds the CSR lists for all rows in parallel (serially
-// when pool is nil). Rows are rowTree's leaves in Leaves() order, each
-// classified against the atoms octree. symmetrize moves mutual near leaf
-// pairs into the Sym list of the lower-indexed row (valid only when
-// rowTree == atoms, i.e. the E_pol phase).
+// chunksPerWorker is how many row chunks compileLists cuts per worker:
+// enough for work stealing to even out rows of uneven cost, few enough
+// that each chunk's copy stays large.
+const chunksPerWorker = 8
+
+// compileLists builds the CSR lists of every leaf of rowTree, in
+// Leaves() order, each row classified against the atoms octree.
+// symmetrize moves mutual near leaf pairs into the Sym list of the
+// lower-indexed row (valid only when rowTree == atoms, i.e. the E_pol
+// phase). The rows are cut into fixed chunks that run in parallel on
+// pool (serially when pool is nil), and the compile takes two passes
+// over them:
+//
+//  1. Classify each row once into its worker's reused buffer, recording
+//     the row's far and near counts; each chunk's output is then copied
+//     once at its exact size.
+//  2. Prefix-sum the counts into the offsets and copy every chunk into
+//     its slice of the preallocated CSR arrays (symmetrizeNear does the
+//     near half of this step for E_pol).
+//
+// The result does not depend on the pool: every entry lands where the
+// per-row emission order puts it.
 func compileLists(atoms *octree.Tree, rowTree *octree.Tree, mac float64, pmax, deg int, leafFirst bool, symmetrize bool, pool *sched.Pool) *InteractionLists {
 	macs := macLadder(mac, pmax, deg)
 	rows := rowTree.Leaves()
-	per := make([]rowLists, len(rows))
-	compileRow := func(i int) {
-		rn := &rowTree.Nodes[rows[i]]
-		classify(atoms, atoms.Root(), rn.Center, rn.Radius, &macs, pmax, leafFirst, &per[i])
+	n := len(rows)
+	workers := 1
+	if pool != nil {
+		workers = pool.NumWorkers()
 	}
-	if pool == nil {
-		for i := range rows {
-			compileRow(i)
-		}
-	} else {
-		grain := len(rows)/(8*pool.NumWorkers()) + 1
-		sched.ParallelFor(pool, len(rows), grain, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				compileRow(i)
-			}
-		})
-	}
-	if symmetrize {
-		symmetrizeNear(rowTree, rows, per)
-	}
-	return assembleLists(rows, per)
-}
-
-// assembleLists packs per-row compilation results into CSR form.
-func assembleLists(rows []int32, per []rowLists) *InteractionLists {
+	per := chunksPerWorker * workers
+	ch := rowChunks{n: n, size: max(1, (n+per-1)/per), workers: workers}
 	il := &InteractionLists{
-		// rows is typically the rowTree's live leaf slice, which a later
-		// Tree.Update rewrites in place (rebuildLeafList) — the lists must
-		// own their row ids or a cached compile silently renumbers.
+		// rows is the rowTree's live leaf slice, which a later Tree.Update
+		// rewrites in place (rebuildLeafList) — the lists must own their
+		// row ids or a cached compile silently renumbers.
 		Rows:    append([]int32(nil), rows...),
-		FarOff:  make([]int32, len(rows)+1),
-		NearOff: make([]int32, len(rows)+1),
-		SymOff:  make([]int32, len(rows)+1),
+		FarOff:  make([]int32, n+1),
+		NearOff: make([]int32, n+1),
+		SymOff:  make([]int32, n+1),
 	}
-	var nf, nn, ns int32
-	for i := range per {
-		il.FarOff[i], il.NearOff[i], il.SymOff[i] = nf, nn, ns
-		nf += int32(len(per[i].far))
-		nn += int32(len(per[i].near))
-		ns += int32(len(per[i].sym))
-	}
-	il.FarOff[len(rows)], il.NearOff[len(rows)], il.SymOff[len(rows)] = nf, nn, ns
-	il.Far = make([]int32, 0, nf)
-	il.Near = make([]int32, 0, nn)
-	il.Sym = make([]int32, 0, ns)
-	withFarO := false
-	for i := range per {
-		il.Far = append(il.Far, per[i].far...)
-		il.Near = append(il.Near, per[i].near...)
-		il.Sym = append(il.Sym, per[i].sym...)
-		if per[i].farO != nil {
-			withFarO = true
+	// Pass 1: classify. Counts go to off[i+1] for the prefix sum.
+	scratch := make([]listBuf, ch.workers)
+	chunks := make([]listBuf, ch.count())
+	forEach(pool, ch.count(), func(c, w int) {
+		buf := &scratch[w]
+		buf.far, buf.near, buf.farO = buf.far[:0], buf.near[:0], buf.farO[:0]
+		lo, hi := ch.bounds(c)
+		for i := lo; i < hi; i++ {
+			buf.far, buf.near = reserve(buf.far), reserve(buf.near)
+			if pmax > 0 {
+				buf.farO = reserve(buf.farO)
+			}
+			nf, nn := len(buf.far), len(buf.near)
+			rn := &rowTree.Nodes[rows[i]]
+			classify(atoms, atoms.Root(), rn.Center, rn.Radius, &macs, pmax, leafFirst, buf)
+			il.FarOff[i+1] = int32(len(buf.far) - nf)
+			il.NearOff[i+1] = int32(len(buf.near) - nn)
 		}
+		chunks[c] = listBuf{far: slices.Clone(buf.far), near: slices.Clone(buf.near), farO: slices.Clone(buf.farO)}
+	})
+
+	// Pass 2: fill.
+	prefixSum(il.FarOff)
+	prefixSum(il.NearOff)
+	il.Far = make([]int32, il.FarOff[n])
+	// FarOrd stays nil unless some far entry was admitted under a ladder:
+	// a snapshot decodes an empty stream as nil, and RecheckLists holds a
+	// restored System's lists to a fresh compile's nil-ness.
+	if pmax > 0 && len(il.Far) > 0 {
+		il.FarOrd = make([]uint8, len(il.Far))
 	}
-	if withFarO { // ladder compiles; every far entry carries its order
-		il.FarOrd = make([]uint8, 0, nf)
-		for i := range per {
-			il.FarOrd = append(il.FarOrd, per[i].farO...)
+	if !symmetrize {
+		il.Near = make([]int32, il.NearOff[n])
+		il.Sym = []int32{}
+	}
+	forEach(pool, ch.count(), func(c, _ int) {
+		lo, _ := ch.bounds(c)
+		copy(il.Far[il.FarOff[lo]:], chunks[c].far)
+		if il.FarOrd != nil {
+			copy(il.FarOrd[il.FarOff[lo]:], chunks[c].farO)
 		}
+		if !symmetrize {
+			copy(il.Near[il.NearOff[lo]:], chunks[c].near)
+		}
+		chunks[c].far, chunks[c].farO = nil, nil
+	})
+	if symmetrize {
+		symmetrizeNear(il, rowTree, ch, chunks, pool)
 	}
 	return il
 }
 
-// symmetrizeNear splits each row's near list into mutual pairs (moved to
-// the lower row's sym list, swept once with double weight) and
-// one-directional entries (kept in near). Mutuality must be checked
+// rowChunks cuts n rows into consecutive chunks of size rows (the last
+// may be shorter), run by up to workers workers.
+type rowChunks struct{ n, size, workers int }
+
+func (ch rowChunks) count() int { return (ch.n + ch.size - 1) / ch.size }
+
+func (ch rowChunks) bounds(c int) (lo, hi int) { return c * ch.size, min(ch.n, (c+1)*ch.size) }
+
+// forEach calls fn(k, worker) for every k in [0, n): one k per task on
+// pool, or in order on worker 0 when pool is nil. A worker runs one fn at
+// a time, so fn may use per-worker scratch indexed by worker.
+func forEach(pool *sched.Pool, n int, fn func(k, worker int)) {
+	if pool == nil {
+		for k := range n {
+			fn(k, 0)
+		}
+		return
+	}
+	sched.ParallelFor(pool, n, 1, func(lo, hi, w int) {
+		for k := lo; k < hi; k++ {
+			fn(k, w)
+		}
+	})
+}
+
+// reserve doubles s's capacity once half of it is used, so one row's
+// appends seldom grow it and a reused buffer reaches its peak size in
+// log₂ steps rather than in append's 1.25× steps.
+func reserve[T any](s []T) []T {
+	if c := cap(s); 2*len(s) >= c {
+		return slices.Grow(s, max(2*c-len(s), 256))
+	}
+	return s
+}
+
+// prefixSum turns per-row counts in off[1:] into CSR offsets.
+func prefixSum(off []int32) {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+}
+
+// symmetrizeNear fills the E_pol phase's Near and Sym from the
+// classified near entries: il.NearOff holds their offsets on entry and
+// chunks[c].near the entries of chunk c's rows. A mutual pair U–V (U in
+// row V's near list and V in row U's) moves to the lower row's Sym,
+// swept once with double weight, and leaves the higher row; one-way
+// entries and the diagonal stay in Near. Mutuality must be checked
 // against the ORIGINAL near sets: the leaf-first ordering of APPROX-EPOL
 // can classify U near V while row U resolves V's subtree through an
 // ancestor's far aggregate, and such one-way blocks must keep their
 // single-direction exact evaluation to match the recursion.
-func symmetrizeNear(t *octree.Tree, rows []int32, per []rowLists) {
+//
+// The check is linear in the entry count. A counting sort builds the
+// transpose of the near relation (for each row, the rows whose near list
+// holds it); each row then stamps its transpose into a per-worker array
+// indexed by row, after which "is this entry mutual" is one load.
+func symmetrizeNear(il *InteractionLists, t *octree.Tree, ch rowChunks, chunks []listBuf, pool *sched.Pool) {
+	n := ch.n
 	rowOf := make([]int32, len(t.Nodes))
-	for i := range rowOf {
-		rowOf[i] = -1
-	}
-	for i, r := range rows {
+	for i, r := range il.Rows {
 		rowOf[r] = int32(i)
 	}
-	sorted := make([][]int32, len(per))
-	for i := range per {
-		c := append([]int32(nil), per[i].near...)
-		slices.Sort(c)
-		sorted[i] = c
+	pre := il.NearOff
+	// entries returns row i's classified near entries.
+	entries := func(i int) []int32 {
+		base := pre[i/ch.size*ch.size]
+		return chunks[i/ch.size].near[pre[i]-base : pre[i+1]-base]
 	}
-	for i := range per {
-		kept := per[i].near[:0]
-		for _, u := range per[i].near {
-			j := int(rowOf[u])
-			if j == i {
-				kept = append(kept, u)
-				continue
+
+	// Transpose. The rows are cut into one block per worker, each holding
+	// about an equal share of the entries and counting into its own row
+	// of cur, so no two blocks share a cursor while they fill.
+	nb := ch.workers
+	blocks := make([]int, nb+1)
+	for k := 1; k < nb; k++ {
+		share := int32(int64(pre[n]) * int64(k) / int64(nb))
+		blocks[k] = sort.Search(n, func(i int) bool { return pre[i] >= share })
+	}
+	blocks[nb] = n
+	cur := make([]int32, nb*n)
+	forEach(pool, nb, func(k, _ int) {
+		cnt := cur[k*n : (k+1)*n]
+		for i := blocks[k]; i < blocks[k+1]; i++ {
+			for _, u := range entries(i) {
+				cnt[rowOf[u]]++
 			}
-			if _, mutual := slices.BinarySearch(sorted[j], rows[i]); !mutual {
-				kept = append(kept, u)
-			} else if j > i {
-				per[i].sym = append(per[i].sym, u)
-			}
-			// else: row j already swept the mutual pair into its Sym.
 		}
-		per[i].near = kept
+	})
+	tOff := make([]int32, n+1)
+	var pos int32
+	for j := range n {
+		tOff[j] = pos
+		for k := range nb {
+			pos, cur[k*n+j] = pos+cur[k*n+j], pos
+		}
 	}
+	tOff[n] = pos
+	trans := make([]int32, pos)
+	forEach(pool, nb, func(k, _ int) {
+		next := cur[k*n : (k+1)*n]
+		for i := blocks[k]; i < blocks[k+1]; i++ {
+			for _, u := range entries(i) {
+				j := rowOf[u]
+				trans[next[j]] = int32(i)
+				next[j]++
+			}
+		}
+	})
+
+	// Mark: a mutual entry is flipped to ^u (node ids are non-negative),
+	// and the row's kept and sym counts go to NearOff/SymOff for the
+	// second prefix sum. stamp[w][j] == i+1 while worker w checks row i
+	// means row j's near list holds row i.
+	nearOff := make([]int32, n+1)
+	stamps := make([][]int32, ch.workers)
+	forEach(pool, ch.count(), func(c, w int) {
+		if stamps[w] == nil {
+			stamps[w] = make([]int32, n)
+		}
+		stamp := stamps[w]
+		lo, hi := ch.bounds(c)
+		for i := lo; i < hi; i++ {
+			mark := int32(i + 1)
+			for _, j := range trans[tOff[i]:tOff[i+1]] {
+				stamp[j] = mark
+			}
+			row := entries(i)
+			var kept, sym int32
+			for k, u := range row {
+				j := rowOf[u]
+				switch {
+				case j == int32(i) || stamp[j] != mark:
+					kept++
+				case j > int32(i):
+					sym++
+					row[k] = ^u
+				default: // row j already holds the mutual pair in its Sym
+					row[k] = ^u
+				}
+			}
+			nearOff[i+1], il.SymOff[i+1] = kept, sym
+		}
+	})
+
+	// Split: one more prefix sum sizes the final arrays.
+	prefixSum(nearOff)
+	prefixSum(il.SymOff)
+	il.Near = make([]int32, nearOff[n])
+	il.Sym = make([]int32, il.SymOff[n])
+	forEach(pool, ch.count(), func(c, _ int) {
+		lo, hi := ch.bounds(c)
+		nk, ns := nearOff[lo], il.SymOff[lo]
+		for i := lo; i < hi; i++ {
+			for _, u := range entries(i) {
+				switch {
+				case u >= 0:
+					il.Near[nk] = u
+					nk++
+				case rowOf[^u] > int32(i):
+					il.Sym[ns] = ^u
+					ns++
+				}
+			}
+		}
+	})
+	il.NearOff = nearOff
 }
 
 // compile builds both phases' lists from the system's current geometry
@@ -326,12 +479,18 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 // pool (nil compiles serially). Safe for concurrent use: distributed
 // ranks sharing the System compile once and reuse.
 func (s *System) Lists(pool *sched.Pool) *CompiledLists {
+	cl, _ := s.fetchLists(pool)
+	return cl
+}
+
+// fetchLists is Lists, also reporting whether this call compiled.
+func (s *System) fetchLists(pool *sched.Pool) (cl *CompiledLists, compiled bool) {
 	s.listsMu.Lock()
 	defer s.listsMu.Unlock()
 	if !s.lists.matches(s) {
-		s.lists = s.compile(pool)
+		s.lists, compiled = s.compile(pool), true
 	}
-	return s.lists
+	return s.lists, compiled
 }
 
 // RecheckLists recompiles the interaction lists from the current geometry

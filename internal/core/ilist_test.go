@@ -2,12 +2,17 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/mathx"
+	"gbpolar/internal/molecule"
+	"gbpolar/internal/octree"
 	"gbpolar/internal/sched"
+	"gbpolar/internal/surface"
 )
 
 // The compiled interaction-list path (ilist.go + kernels.go) must
@@ -199,6 +204,23 @@ func TestComputeSharedWarmAllocs(t *testing.T) {
 	}
 }
 
+// RunShared reports the wall time of the list compile it triggered, and
+// nothing once the lists are cached.
+func TestRunSharedListsSeconds(t *testing.T) {
+	sys, _, _ := testSystem(t, 300, 99, DefaultParams())
+	cold, err := RunShared(sys, SharedOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := RunShared(sys, SharedOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.ListsSeconds <= 0 || warm.ListsSeconds != 0 {
+		t.Errorf("ListsSeconds cold %g, warm %g; want > 0 then 0", cold.ListsSeconds, warm.ListsSeconds)
+	}
+}
+
 // Compiled op accounting stays faithful to the evaluated work: tighter
 // epsilon means more near-field pairs, so more ops — the property the
 // plumbing tests rely on.
@@ -216,5 +238,251 @@ func TestCompiledOpsMonotoneInEps(t *testing.T) {
 	}
 	if ops[0] <= ops[1] {
 		t.Errorf("ops at eps 0.2 (%v) not above eps 0.9 (%v)", ops[0], ops[1])
+	}
+}
+
+// referenceCompileLists is the row-at-a-time compiler the two-pass
+// compileLists replaced, kept as its oracle: every row classifies into
+// slices of its own, a binary search over sorted copies of the near
+// lists decides mutuality, and the rows are then packed into CSR.
+func referenceCompileLists(atoms, rowTree *octree.Tree, mac float64, pmax, deg int, leafFirst, symmetrize bool) *InteractionLists {
+	macs := macLadder(mac, pmax, deg)
+	rows := rowTree.Leaves()
+	per := make([]listBuf, len(rows))
+	sym := make([][]int32, len(rows))
+	for i, r := range rows {
+		rn := &rowTree.Nodes[r]
+		classify(atoms, atoms.Root(), rn.Center, rn.Radius, &macs, pmax, leafFirst, &per[i])
+	}
+	if symmetrize {
+		rowOf := make([]int32, len(rowTree.Nodes))
+		for i := range rowOf {
+			rowOf[i] = -1
+		}
+		for i, r := range rows {
+			rowOf[r] = int32(i)
+		}
+		sorted := make([][]int32, len(per))
+		for i := range per {
+			sorted[i] = slices.Clone(per[i].near)
+			slices.Sort(sorted[i])
+		}
+		for i := range per {
+			kept := per[i].near[:0]
+			for _, u := range per[i].near {
+				j := int(rowOf[u])
+				if j == i {
+					kept = append(kept, u)
+					continue
+				}
+				if _, mutual := slices.BinarySearch(sorted[j], rows[i]); !mutual {
+					kept = append(kept, u)
+				} else if j > i {
+					sym[i] = append(sym[i], u)
+				}
+			}
+			per[i].near = kept
+		}
+	}
+	il := &InteractionLists{
+		Rows:    append([]int32(nil), rows...),
+		FarOff:  make([]int32, len(rows)+1),
+		NearOff: make([]int32, len(rows)+1),
+		SymOff:  make([]int32, len(rows)+1),
+	}
+	var nf, nn, ns int32
+	for i := range per {
+		il.FarOff[i], il.NearOff[i], il.SymOff[i] = nf, nn, ns
+		nf += int32(len(per[i].far))
+		nn += int32(len(per[i].near))
+		ns += int32(len(sym[i]))
+	}
+	il.FarOff[len(rows)], il.NearOff[len(rows)], il.SymOff[len(rows)] = nf, nn, ns
+	il.Far = make([]int32, 0, nf)
+	il.Near = make([]int32, 0, nn)
+	il.Sym = make([]int32, 0, ns)
+	withFarO := false
+	for i := range per {
+		il.Far = append(il.Far, per[i].far...)
+		il.Near = append(il.Near, per[i].near...)
+		il.Sym = append(il.Sym, sym[i]...)
+		if per[i].farO != nil {
+			withFarO = true
+		}
+	}
+	if withFarO {
+		il.FarOrd = make([]uint8, 0, nf)
+		for i := range per {
+			il.FarOrd = append(il.FarOrd, per[i].farO...)
+		}
+	}
+	return il
+}
+
+// referenceCompile is System.compile on the reference compiler.
+func referenceCompile(s *System) *CompiledLists {
+	return &CompiledLists{
+		bornMAC: s.bornMAC(), epolFar: epolFarFactor(s.Params.EpsEpol), farOrder: s.Params.FarOrder,
+		Born: referenceCompileLists(s.Atoms, s.QPts, s.bornMAC(), s.Params.FarOrder, bornLadderDeg(s.Params.Kernel), false, false),
+		Epol: referenceCompileLists(s.Atoms, s.Atoms, epolFarFactor(s.Params.EpsEpol), s.Params.FarOrder, epolLadderDeg, true, true),
+	}
+}
+
+// sameLists names the first field of got that differs from want,
+// counting the nil-ness of every slice (a snapshot round trip decodes an
+// empty FarOrd as nil, so nil and empty are different lists).
+func sameLists(got, want *InteractionLists) error {
+	g, w := reflect.ValueOf(*got), reflect.ValueOf(*want)
+	for f := range g.NumField() {
+		gf, wf := g.Field(f), w.Field(f)
+		if !reflect.DeepEqual(gf.Interface(), wf.Interface()) {
+			return fmt.Errorf("%s differs: len %d nil %v, want len %d nil %v",
+				g.Type().Field(f).Name, gf.Len(), gf.IsNil(), wf.Len(), wf.IsNil())
+		}
+	}
+	return nil
+}
+
+// coincidentMolecule stacks three atoms on each of n/3 lattice sites, so
+// the octree bottoms out in leaves it cannot split.
+func coincidentMolecule(n int) *molecule.Molecule {
+	m := &molecule.Molecule{Name: "coincident"}
+	for i := range n {
+		site := i / 3
+		m.Atoms = append(m.Atoms, molecule.Atom{
+			Pos:    geom.V(float64(site%4)*1.6, float64(site/4%4)*1.6, float64(site/16)*1.6),
+			Charge: float64(i%3) - 1,
+			Radius: 1.5,
+		})
+	}
+	return m
+}
+
+// TestCompileListsMatchReference pins the two-pass parallel compiler to
+// the row-at-a-time reference: byte-identical lists (every offset array,
+// entry order, FarOrd nil-ness) for every molecule size, far order and
+// pool width, with Rows owned rather than aliasing the tree's leaves.
+func TestCompileListsMatchReference(t *testing.T) {
+	pools := []*sched.Pool{nil, sched.NewPool(1), sched.NewPool(2), sched.NewPool(4)}
+	defer func() {
+		for _, p := range pools[1:] {
+			p.Close()
+		}
+	}()
+	mols := []*molecule.Molecule{coincidentMolecule(48)}
+	for _, n := range []int{1, 2, 50, 800, 3000} {
+		mols = append(mols, molecule.GenProtein(fmt.Sprintf("oracle-%d", n), n, int64(n)))
+	}
+	for _, mol := range mols {
+		surf, err := surface.ForMolecule(mol, surface.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystem(mol, surf, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ord := 0; ord <= maxFarOrder; ord++ {
+			sys.Params.FarOrder = ord
+			want := referenceCompile(sys)
+			for _, pool := range pools {
+				workers := 0
+				if pool != nil {
+					workers = pool.NumWorkers()
+				}
+				got := sys.compile(pool)
+				for _, ph := range []struct {
+					name      string
+					got, want *InteractionLists
+					leaves    []int32
+				}{
+					{"born", got.Born, want.Born, sys.QPts.Leaves()},
+					{"epol", got.Epol, want.Epol, sys.Atoms.Leaves()},
+				} {
+					if err := sameLists(ph.got, ph.want); err != nil {
+						t.Fatalf("%s (%d atoms) farOrder=%d workers=%d %s: %v",
+							mol.Name, mol.NumAtoms(), ord, workers, ph.name, err)
+					}
+					if &ph.got.Rows[0] == &ph.leaves[0] {
+						t.Fatalf("%s %s: Rows aliases the tree's leaf slice", mol.Name, ph.name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCompileLists compiles tiny lattice-quantized molecules — coincident
+// atoms and single-leaf trees are common — and asserts the two-pass
+// compiler matches the reference, serial and pooled alike.
+func FuzzCompileLists(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 7, 7, 7}, uint8(1), uint8(0), uint8(9))
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, uint8(2), uint8(2), uint8(1))
+	f.Add([]byte("a lattice of atoms, some on top of one another, most not"), uint8(4), uint8(1), uint8(5))
+	pool := sched.NewPool(3)
+	defer pool.Close()
+	f.Fuzz(func(t *testing.T, data []byte, leafCap, farOrder, eps uint8) {
+		// Three bytes per atom, each a coordinate on an 8-point lattice of
+		// 1.5 Å spacing; at most 64 atoms. The q-points sit half a cell
+		// off the atoms.
+		n := min(len(data)/3, 64)
+		if n == 0 {
+			return
+		}
+		atomPts := make([]geom.Vec3, n)
+		qPts := make([]geom.Vec3, n)
+		for i := range atomPts {
+			b := data[3*i : 3*i+3]
+			atomPts[i] = geom.V(float64(b[0]%8)*1.5, float64(b[1]%8)*1.5, float64(b[2]%8)*1.5)
+			qPts[i] = atomPts[i].Add(geom.V(0.75, 0.75, 0.75))
+		}
+		opts := octree.Options{LeafCap: 1 + int(leafCap%8)}
+		atoms, err := octree.Build(atomPts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qtree, err := octree.Build(qPts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pmax := int(farOrder) % (maxFarOrder + 1)
+		epsv := 0.05 + float64(eps%32)/16 // 0.05 … 1.99
+		for _, ph := range []struct {
+			rowTree        *octree.Tree
+			mac            float64
+			deg            int
+			leafFirst, sym bool
+		}{
+			{qtree, looseMACFactor(epsv), bornLadderDeg(R6), false, false},
+			{atoms, epolFarFactor(epsv), epolLadderDeg, true, true},
+		} {
+			want := referenceCompileLists(atoms, ph.rowTree, ph.mac, pmax, ph.deg, ph.leafFirst, ph.sym)
+			for _, p := range []*sched.Pool{nil, pool} {
+				got := compileLists(atoms, ph.rowTree, ph.mac, pmax, ph.deg, ph.leafFirst, ph.sym, p)
+				if err := sameLists(got, want); err != nil {
+					t.Fatalf("%d atoms, leafCap %d, farOrder %d, eps %g, symmetrize=%v, pooled=%v: %v",
+						n, opts.LeafCap, pmax, epsv, ph.sym, p != nil, err)
+				}
+			}
+		}
+	})
+}
+
+// TestCompileListsAllocsFlat pins that a serial compile allocates per
+// chunk and per phase, not per row: nearly quadrupling the atom count
+// (and the row count with it) may add only the few appends that grow the
+// reused chunk buffers.
+func TestCompileListsAllocsFlat(t *testing.T) {
+	allocs := func(n int) (float64, int) {
+		sys, _, _ := testSystem(t, n, 98, DefaultParams())
+		rows := len(sys.QPts.Leaves()) + len(sys.Atoms.Leaves())
+		return testing.AllocsPerRun(3, func() { sys.compile(nil) }), rows
+	}
+	small, smallRows := allocs(800)
+	large, largeRows := allocs(3000)
+	t.Logf("serial compile: %.0f allocs at %d rows, %.0f at %d rows", small, smallRows, large, largeRows)
+	if large-small > 24 {
+		t.Errorf("serial compile allocations grow with rows: %.0f at %d rows, %.0f at %d rows",
+			small, smallRows, large, largeRows)
 	}
 }

@@ -17,8 +17,15 @@ type Result struct {
 	// atom order.
 	BornRadii []float64
 	// WallSeconds is the measured wall-clock time of the energy phases
-	// (octree construction excluded, as in the paper).
+	// (octree construction excluded, as in the paper). RunShared times
+	// Born, push-down and E_pol only and reports the interaction-list
+	// compile apart, in ListsSeconds; the distributed runners time the
+	// whole cluster run, a compile their ranks trigger included.
 	WallSeconds float64
+	// ListsSeconds is the wall-clock time RunShared spent in System.Lists
+	// compiling the interaction lists; 0 when they were already cached,
+	// and on the other runners.
+	ListsSeconds float64
 	// ModelSeconds is the modeled parallel time: per-phase critical-path
 	// work at the calibrated kernel rate, plus (for distributed runs)
 	// the communication cost model. See cluster.Mode.
@@ -80,9 +87,15 @@ func RunShared(sys *System, opts SharedOptions) (*Result, error) {
 	o := opts.Obs
 	steals0 := pool.Steals()
 	var lists *CompiledLists
+	var listsSeconds float64
 	if !opts.Recursive {
 		bsp := o.Begin(0, "phase", "build", obs.NoVirtual)
-		lists = sys.Lists(pool)
+		t0 := time.Now()
+		var compiled bool
+		lists, compiled = sys.fetchLists(pool)
+		if compiled {
+			listsSeconds = time.Since(t0).Seconds()
+		}
 		bsp.End(obs.NoVirtual)
 		lists.RecordMetrics(o)
 		if sys.Params.DebugCheckLists {
@@ -196,6 +209,7 @@ func RunShared(sys *System, opts SharedOptions) (*Result, error) {
 		Epol:         ctx.Finish(raw),
 		BornRadii:    sys.BornRadiiToOriginalOrder(slotRadii),
 		WallSeconds:  time.Since(start).Seconds(),
+		ListsSeconds: listsSeconds,
 		ModelSeconds: model,
 		Ops:          totalOps,
 	}, nil
